@@ -254,13 +254,18 @@ def holevo_check(
     projections: Sequence[np.ndarray],
     config: SolverConfig | None = None,
     tol: Tolerances = DEFAULT_TOL,
+    roof: RoofResult | None = None,
 ) -> HolevoCheck:
-    """Check ``H`` of the commutative subalgebra against ``S(rho)``."""
+    """Check ``H`` of the commutative subalgebra against ``S(rho)``.
+
+    ``roof`` reuses a solve of the same instance, such as
+    ``BenattiBracket.roof``; without it the roof is solved here.
+    """
     if not isinstance(rho, DensityOperator):
         rho = DensityOperator(rho)
-    cfg = config if config is not None else SolverConfig()
-    channel = commutative_channel(projections)
-    roof = solve_R(rho, channel, cfg, tol)
+    if roof is None:
+        cfg = config if config is not None else SolverConfig()
+        roof = solve_R(rho, commutative_channel(projections), cfg, tol)
     s = von_neumann_entropy(rho, tol)
     return HolevoCheck(
         channel_entropy=roof.value_H,

@@ -262,7 +262,7 @@ def _cmd_accinfo(job: JobSpec) -> dict:
     cfg = job.solver_config()
     samples = 256 if job.samples is None else job.samples
     bracket = benatti_bracket(rho, projections, cfg, measurement_samples=samples, tol=tol)
-    hc = holevo_check(rho, projections, cfg, tol)
+    hc = holevo_check(rho, projections, cfg, tol, roof=bracket.roof)
     return {
         "command": "accinfo",
         "bracket": {

@@ -3,8 +3,11 @@
 Every length-``m`` decomposition of a rank-``r`` density operator into
 unnormalized pure pieces arises from an ``m x r`` column isometry ``V``
 applied to the square-root-scaled eigenvectors of the state.  The solver
-searches that isometry manifold with multi-start projected finite-difference
-gradient descent; QR re-orthonormalization keeps iterates on the manifold.
+searches that isometry manifold with multi-start descent along the
+forward-difference gradient of the objective composed with the QR
+retraction, so iterates stay on the manifold.  The restarts run in lockstep
+as one stack of isometries; each keeps its own step and stopping rule and
+leaves the stack when it stops.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ ISOMETRY_TOL = 1e-10
 FD_STEP = 1e-7          # forward-difference step on the ambient parameters
 INITIAL_STEP = 0.25
 LADDER = 8              # step-halving candidates evaluated per line search
+OBJECTIVE_BATCH = 512   # most isometries stacked into one objective_many call
 STEP_CAP = 1.0
 
 
@@ -206,9 +210,6 @@ class _Evaluator:
         p = (phi.real**2 + phi.imag**2).sum(axis=-1)
         return total - _xlnx(p).sum(axis=-1)
 
-    def objective(self, isometry: np.ndarray) -> float:
-        return float(self.objective_many(isometry[None])[0])
-
 
 def _retract(a: np.ndarray) -> np.ndarray:
     """QR re-orthonormalization with positive-real R-diagonal.
@@ -223,56 +224,84 @@ def _retract(a: np.ndarray) -> np.ndarray:
     return q * phase[..., None, :]
 
 
-def _fd_gradient(ev: _Evaluator, v: np.ndarray, f0: float) -> np.ndarray:
-    """Forward-difference gradient of the retracted objective, as a complex matrix."""
-    m, r = v.shape
+def _fd_gradient(ev: _Evaluator, v: np.ndarray, f0: np.ndarray) -> np.ndarray:
+    """Forward-difference gradients of the retracted objective, as complex matrices.
+
+    ``v`` is a stack of isometries, shape (k, m, r), and ``f0`` their
+    objective values.  The 2·m·r perturbed copies of each are built and
+    evaluated in chunks of whole restarts, at most ``OBJECTIVE_BATCH``
+    isometries each; only a restart with more copies than that is split.
+    """
+    k, m, r = v.shape
     count = m * r
-    batch = np.broadcast_to(v, (2 * count, m, r)).reshape(2 * count, count).copy()
-    idx = np.arange(count)
-    batch[idx, idx] += FD_STEP
-    batch[count + idx, idx] += 1j * FD_STEP
-    values = ev.objective_many(_retract(batch.reshape(2 * count, m, r)))
-    g = (values - f0) / FD_STEP
-    return (g[:count] + 1j * g[count:]).reshape(m, r)
+    flat = v.reshape(k, count)
+    span = 2 * count
+    total = span * k
+    chunk = OBJECTIVE_BATCH // span * span or OBJECTIVE_BATCH
+    values = np.empty(total)
+    for at in range(0, total, chunk):
+        own, col = np.divmod(np.arange(at, min(at + chunk, total)), span)
+        batch = flat[own]
+        batch[np.arange(own.size), col % count] += np.where(col < count, FD_STEP, 1j * FD_STEP)
+        values[at : at + own.size] = ev.objective_many(_retract(batch.reshape(-1, m, r)))
+    g = (values.reshape(k, span) - f0[:, None]) / FD_STEP
+    return (g[:, :count] + 1j * g[:, count:]).reshape(k, m, r)
 
 
-def _optimize(ev: _Evaluator, start: np.ndarray, cfg: SolverConfig):
-    """Descend from one start; returns (value, isometry, converged, iterations)."""
-    v = _retract(start[None])[0]
-    f = ev.objective(v)
-    step = INITIAL_STEP
+def _objective_stack(ev: _Evaluator, v: np.ndarray) -> np.ndarray:
+    """Objective of a stack of isometries, at most ``OBJECTIVE_BATCH`` per call."""
+    values = np.empty(len(v))
+    for at in range(0, len(v), OBJECTIVE_BATCH):
+        values[at : at + OBJECTIVE_BATCH] = ev.objective_many(v[at : at + OBJECTIVE_BATCH])
+    return values
+
+
+def _descend(ev: _Evaluator, starts: np.ndarray, cfg: SolverConfig):
+    """Descend from every start in lockstep, as one stack of isometries.
+
+    Each restart keeps its own step, stall count and stopping rule, and
+    leaves the stack when it stops.  Every array operation acts slice by
+    slice, so a restart's path does not depend on the others.  Returns the
+    per-restart values, isometries, converged flags and iteration counts.
+    """
+    v = _retract(starts)
+    f = _objective_stack(ev, v)
+    k, m, r = v.shape
+    step = np.full(k, INITIAL_STEP)
+    stalls = np.zeros(k, dtype=np.intp)
+    converged = np.zeros(k, dtype=bool)
+    iterations = np.full(k, cfg.max_iters)
     ladder = 0.5 ** np.arange(LADDER)
-    stalls = 0
-    iterations = 0
-    for iterations in range(1, cfg.max_iters + 1):
-        grad = _fd_gradient(ev, v, f)
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm < 1e-13:
-            return f, v, True, iterations
-        scales = step * ladder
-        candidates = v[None] - scales[:, None, None] * grad[None]
-        values = ev.objective_many(_retract(candidates))
-        better = np.flatnonzero(values < f)
-        if better.size == 0:
-            step *= ladder[-1] * 0.5
-            if step < cfg.step_tol:
-                return f, v, True, iterations
-            continue
-        pick = int(better[0])
-        gain = f - float(values[pick])
-        v = candidates[pick]
-        v = _retract(v[None])[0]
-        f = float(values[pick])
-        step = min(scales[pick] * 2.0, STEP_CAP)
-        if gain < cfg.value_tol:
-            stalls += 1
-            if stalls >= 2:
-                return f, v, True, iterations
-        else:
-            stalls = 0
-        if step < cfg.step_tol:
-            return f, v, True, iterations
-    return f, v, False, iterations
+    live = np.arange(k)
+    for it in range(1, cfg.max_iters + 1):
+        if live.size == 0:
+            break
+        grad = _fd_gradient(ev, v[live], f[live])
+        zero = np.array([np.linalg.norm(g) for g in grad]) < 1e-13
+        idx = live[~zero]
+        scales = step[idx, None] * ladder
+        candidates = v[idx, None] - scales[..., None, None] * grad[~zero, None]
+        trial = _retract(candidates.reshape(-1, m, r)).reshape(candidates.shape)
+        values = _objective_stack(ev, trial.reshape(-1, m, r)).reshape(scales.shape)
+        better = values < f[idx, None]
+        moved = better.any(axis=1)
+        # No better candidate: shrink the step; the iteration still counts.
+        step[idx[~moved]] *= ladder[-1] * 0.5
+        rows = np.flatnonzero(moved)
+        pick = better[rows].argmax(axis=1)
+        j = idx[rows]
+        gain = f[j] - values[rows, pick]
+        v[j] = trial[rows, pick]
+        f[j] = values[rows, pick]
+        step[j] = np.minimum(scales[rows, pick] * 2.0, STEP_CAP)
+        stalls[j] = np.where(gain < cfg.value_tol, stalls[j] + 1, 0)
+        done = step[idx] < cfg.step_tol
+        done[rows] |= stalls[j] >= 2
+        ended = np.concatenate([live[zero], idx[done]])
+        converged[ended] = True
+        iterations[ended] = it
+        live = idx[~done]
+    return f, v, converged, iterations
 
 
 def _start_isometries(m: int, r: int, cfg: SolverConfig):
@@ -301,8 +330,10 @@ def solve_R(
     ----------
     trace : str or file-like, optional
         When given, one JSON line per restart is written with the restart
-        index, final value, iteration count, and convergence flag.  A string
-        is treated as a path and opened for writing.
+        index, final value, iteration count, and convergence flag.  The
+        restarts run in lockstep, so the lines are written in restart order
+        once the solve ends.  A string is treated as a path and opened for
+        writing.
 
     Returns
     -------
@@ -326,32 +357,30 @@ def solve_R(
         raise ValidationError(
             f"max_length {length} is below the state rank {ev.rank}"
         )
-    best = None
-    values = []
-    for idx, start in enumerate(_start_isometries(length, ev.rank, cfg)):
-        value, vopt, converged, iters = _optimize(ev, start, cfg)
-        values.append(value)
-        if trace is not None:
+    starts = np.stack(_start_isometries(length, ev.rank, cfg))
+    values, isometries, flags, counts = _descend(ev, starts, cfg)
+    values, flags, counts = values.tolist(), flags.tolist(), counts.tolist()
+    if trace is not None:
+        for idx in range(cfg.restarts):
             trace.write(
                 json.dumps(
-                    {"restart": idx, "value": value, "iterations": iters, "converged": converged},
+                    {"restart": idx, "value": values[idx], "iterations": counts[idx],
+                     "converged": flags[idx]},
                     sort_keys=True,
                 )
                 + "\n"
             )
-        if best is None or value < best[0]:
-            best = (value, idx, vopt, converged, iters)
-    value_r, best_idx, vopt, converged, iters = best
-    ensemble = shorten(decomposition_from_isometry(rho, vopt, tol))
+    best = min(range(cfg.restarts), key=values.__getitem__)
+    ensemble = shorten(decomposition_from_isometry(rho, isometries[best], tol))
     return RoofResult(
-        value_R=value_r,
-        value_H=ev.reduced_entropy - value_r,
+        value_R=values[best],
+        value_H=ev.reduced_entropy - values[best],
         reduced_entropy=ev.reduced_entropy,
         optimal_ensemble=ensemble,
         restart_values=tuple(values),
-        best_restart=best_idx,
-        converged=converged,
-        iterations=iters,
+        best_restart=best,
+        converged=flags[best],
+        iterations=counts[best],
     )
 
 

@@ -22,7 +22,13 @@ from roofentropy import (
     zero_entropy_structure,
 )
 from roofentropy.jsonio import roof_result_to_json, round_floats
-from roofentropy.roof import _Evaluator, _retract, _start_isometries
+from roofentropy.roof import (
+    OBJECTIVE_BATCH,
+    _Evaluator,
+    _fd_gradient,
+    _retract,
+    _start_isometries,
+)
 from roofentropy.states import DEFAULT_TOL
 
 from conftest import FAST
@@ -95,7 +101,7 @@ class TestVectorizedObjective:
             ev = _Evaluator(rho, channel, DEFAULT_TOL)
             for start in _start_isometries(6, ev.rank, SolverConfig(restarts=4, seed=7)):
                 v = _retract(start[None])[0]
-                fast = ev.objective(v)
+                fast = ev.objective_many(v[None])[0]
                 slow = roof_objective(decomposition_from_isometry(rho, v), channel)
                 assert fast == pytest.approx(slow, abs=1e-9)
 
@@ -177,15 +183,65 @@ class TestSolveR:
 
     def test_trace_file_written(self, tmp_path):
         path = tmp_path / "trace.jsonl"
-        solve_R(qubit(0.5, 0.2), diagonal_pinching(2), FAST, trace=str(path))
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == FAST.restarts
-        first = json.loads(lines[0])
-        assert {"restart", "value", "iterations", "converged"} <= set(first)
+        res = solve_R(qubit(0.5, 0.2), diagonal_pinching(2), FAST, trace=str(path))
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [line["restart"] for line in lines] == list(range(FAST.restarts))
+        for line in lines:
+            assert set(line) == {"restart", "value", "iterations", "converged"}
+        assert tuple(line["value"] for line in lines) == res.restart_values
+        best = lines[res.best_restart]
+        assert (best["iterations"], best["converged"]) == (res.iterations, res.converged)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
             solve_R(DensityOperator(np.eye(3) / 3), diagonal_pinching(2), FAST)
+
+
+class TestLockstepRestarts:
+    """Restarts share one stack, but each follows its own path exactly."""
+
+    def test_default_qubit_restarts_independent(self):
+        rho = qubit(0.55, 0.2 + 0.1j)
+        full = solve_R(rho, diagonal_pinching(2))
+        few = solve_R(rho, diagonal_pinching(2), SolverConfig(restarts=5))
+        assert full.restart_values[:5] == few.restart_values
+
+    def test_chunked_gradient_stack_independent(self, rng):
+        # At d = 5 one restart perturbs 2 * 25 * 5 = 250 isometries, so the
+        # gradient stack of 3 or 4 restarts is cut into several chunks.
+        g = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+        h = g @ g.conj().T
+        rho = DensityOperator(h / np.trace(h).real)
+        channel = pinching([np.diag([1.0, 1, 0, 0, 0]), np.diag([0.0, 0, 1, 1, 0]),
+                            np.diag([0.0, 0, 0, 0, 1])])
+        assert 3 * 2 * 25 * 5 > OBJECTIVE_BATCH
+        full = solve_R(rho, channel, SolverConfig(restarts=4, max_iters=6))
+        for j in (1, 3):
+            part = solve_R(rho, channel, SolverConfig(restarts=j, max_iters=6))
+            assert full.restart_values[:j] == part.restart_values
+
+    @pytest.mark.parametrize("length", [25, 60])
+    def test_stacked_gradient_matches_single(self, rng, length):
+        # 60 rows give 2 * 60 * 5 = 600 copies per restart, more than one
+        # objective call takes, so each restart's copies are split as well.
+        g = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+        h = g @ g.conj().T
+        rho = DensityOperator(h / np.trace(h).real)
+        ev = _Evaluator(rho, diagonal_pinching(5), DEFAULT_TOL)
+        v = _retract(np.stack(_start_isometries(length, 5, SolverConfig(restarts=4))))
+        f0 = ev.objective_many(v)
+        stacked = _fd_gradient(ev, v, f0)
+        for i in range(len(v)):
+            single = _fd_gradient(ev, v[i : i + 1], f0[i : i + 1])
+            assert np.array_equal(stacked[i], single[0])
+
+    def test_zero_gradient_stops_every_restart(self):
+        # A single-block channel makes the objective identically zero, so
+        # every restart leaves the stack at its first iteration.
+        res = solve_R(DensityOperator(np.diag([0.7, 0.3])), commutative_channel([np.eye(2)]),
+                      SolverConfig(restarts=3, max_iters=50))
+        assert res.restart_values == (0.0, 0.0, 0.0)
+        assert (res.best_restart, res.converged, res.iterations) == (0, True, 1)
 
 
 class TestAffinityCertificate:
