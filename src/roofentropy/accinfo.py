@@ -6,6 +6,12 @@ mutual information any measurement can extract from that ensemble.  This
 module builds the canonical ensemble, evaluates measurements, and brackets
 the accessible information between the best sampled measurement and the
 solver value.
+
+The solver value is not a certified upper bound.  The solver's R is an
+upper bound on the true R (it is the average entropy of a decomposition it
+found), so its H = S(omega o alpha) - R is a *lower* bound on the true H.
+The bracket's ``upper`` side, and with it ``passed`` and ``closed``, is
+therefore only as good as the optimizer.
 """
 
 from __future__ import annotations
@@ -20,14 +26,18 @@ from .channels import (
     commutative_channel,
     _validate_projections,
 )
-from .ensembles import Ensemble, mutual_entropy
+from .ensembles import Ensemble
 from .roof import RoofResult, SolverConfig, solve_R
+from .sampling import _haar_unitaries
 from .states import (
     DEFAULT_TOL,
     DensityOperator,
     Tolerances,
     ValidationError,
+    _as_square_matrix,
+    _xlnx,
     canonical_eigh,
+    hermiticity_defect,
     von_neumann_entropy,
 )
 
@@ -56,10 +66,13 @@ class Measurement:
     def __post_init__(self, tol: Tolerances):
         mats = []
         for i, e in enumerate(self.outcomes):
-            m = np.asarray(e, dtype=complex)
-            if m.ndim != 2 or m.shape[0] != m.shape[1]:
-                raise ValidationError(f"outcome {i} has shape {m.shape}, expected square")
-            herm = float(np.max(np.abs(m - m.conj().T)))
+            try:
+                m = _as_square_matrix(e)
+            except ValidationError:
+                raise ValidationError(
+                    f"outcome {i} has shape {np.shape(e)}, expected square"
+                ) from None
+            herm = hermiticity_defect(m)
             if herm > tol.herm:
                 raise ValidationError(f"outcome {i} not Hermitian: defect {herm:.3e}")
             m = 0.5 * (m + m.conj().T)
@@ -125,7 +138,8 @@ def channel_from_measurement(measurement: Measurement) -> ReductionChannel:
     """Communication channel of a POVM: one scalar block per outcome.
 
     Block ``i`` of the reduction is ``Tr(E_i rho)``, realized by the rows of
-    the square root of each outcome operator.
+    the square root of each outcome operator.  ``mutual_entropy`` through
+    this channel is the slow reference for ``measurement_mutual_info``.
     """
     terms = []
     for i, e in enumerate(measurement.outcomes):
@@ -136,6 +150,22 @@ def channel_from_measurement(measurement: Measurement) -> ReductionChannel:
     return ReductionChannel(
         measurement.dim, (1,) * len(measurement.outcomes), tuple(terms)
     )
+
+
+def _mutual_info_many(ensemble: Ensemble, outcomes: np.ndarray) -> np.ndarray:
+    """Classical mutual information of the ensemble for a stack of POVMs.
+
+    ``outcomes[s, i]`` is outcome operator ``i`` of measurement ``s``.  Entry
+    ``s`` of the result is ``H(sum_j P) - sum_j p_j H(P(.|j))`` for the joint
+    distribution ``P[s, i, j] = p_j Tr(E_{s,i} rho_j)``.  Members with
+    ``p_j <= 0`` are skipped, as ``mutual_entropy`` skips them.
+    """
+    keep = ensemble.weights > 0.0
+    p = ensemble.weights[keep]
+    members = np.array([s.matrix for s in ensemble.states])[keep]
+    cond = np.einsum("sikl,jlk->sij", outcomes, members).real
+    joint = cond * p
+    return _xlnx(joint.sum(axis=2)).sum(axis=1) - _xlnx(cond).sum(axis=1) @ p
 
 
 def measurement_mutual_info(ensemble: Ensemble, measurement: Measurement) -> float:
@@ -149,14 +179,7 @@ def measurement_mutual_info(ensemble: Ensemble, measurement: Measurement) -> flo
         raise ValidationError(
             f"measurement dimension {measurement.dim} != ensemble dimension {ensemble.dim}"
         )
-    return mutual_entropy(ensemble, channel_from_measurement(measurement))
-
-
-def _haar_basis(dim: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))[None, :]
+    return float(_mutual_info_many(ensemble, np.array(measurement.outcomes)[None])[0])
 
 
 def _structured_bases(rho: DensityOperator, ensemble: Ensemble):
@@ -177,8 +200,13 @@ class BenattiBracket:
 
     ``lower`` is the best classical mutual information over the sampled
     measurements, ``upper`` the channel entropy of the subalgebra from the
-    roof solver.  ``passed`` requires ``lower <= upper + 1e-6``; ``closed``
-    additionally flags brackets tighter than ``1e-5``.
+    roof solver (``roof.value_H``).  ``passed`` requires
+    ``lower <= upper + 1e-6``; ``closed`` additionally flags brackets tighter
+    than ``1e-5``.
+
+    ``upper`` is not a certified upper bound: the solver's R is an upper
+    bound on the true R, so ``upper`` is a lower bound on the true H.
+    ``passed`` and ``closed`` therefore depend on how good the optimizer is.
     """
 
     lower: float
@@ -204,8 +232,13 @@ def benatti_bracket(
     Structured measurement candidates (eigenbases of the state, the members,
     and pairwise midpoints) are evaluated first, then
     ``measurement_samples`` Haar-random orthonormal bases seeded from the
-    solver config.
+    solver config; the count must be non-negative.  All of them are
+    evaluated in one batch.
     """
+    if measurement_samples < 0:
+        raise ValidationError(
+            f"measurement_samples must be >= 0, got {measurement_samples}"
+        )
     if not isinstance(rho, DensityOperator):
         rho = DensityOperator(rho)
     cfg = config if config is not None else SolverConfig()
@@ -214,26 +247,24 @@ def benatti_bracket(
     roof = solve_R(rho, channel, cfg, tol)
     upper = roof.value_H
     rng = np.random.default_rng([cfg.seed, 104729])
-    bases = _structured_bases(rho, ensemble)
-    for _ in range(measurement_samples):
-        bases.append(_haar_basis(rho.dim, rng))
-    lower = -np.inf
-    best = -1
-    for i, basis in enumerate(bases):
-        info = measurement_mutual_info(ensemble, Measurement.from_basis(basis))
-        if info > lower:
-            lower = info
-            best = i
+    bases = np.concatenate([
+        np.array(_structured_bases(rho, ensemble)),
+        _haar_unitaries(measurement_samples, rho.dim, rng),
+    ])
+    # Rank-one projectors onto the columns of each basis: E[s, i] = u_i u_i^dag.
+    infos = _mutual_info_many(ensemble, np.einsum("ski,sli->sikl", bases, bases.conj()))
+    best = int(np.argmax(infos))
+    lower = float(infos[best])
     slack = von_neumann_entropy(rho, tol) - upper
     return BenattiBracket(
-        lower=float(lower),
+        lower=lower,
         upper=upper,
-        gap=upper - float(lower),
+        gap=upper - lower,
         holevo_slack=slack,
         samples=len(bases),
         best_sample=best,
-        passed=float(lower) <= upper + 1e-6,
-        closed=abs(upper - float(lower)) <= 1e-5,
+        passed=lower <= upper + 1e-6,
+        closed=abs(upper - lower) <= 1e-5,
         roof=roof,
     )
 

@@ -1,4 +1,5 @@
-"""Seeded random states, channels, and measurements for tests and `verify`."""
+"""Seeded random states, channels, and measurements for tests, `verify` and
+the Haar-random measurements of `accinfo`."""
 
 from __future__ import annotations
 
@@ -38,9 +39,20 @@ def random_pure_state(dim: int, rng: np.random.Generator) -> PureState:
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    q, r = np.linalg.qr(_complex_gaussian(rng, (dim, dim)))
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))[None, :]
+    return _haar_unitaries(1, dim, rng)[0]
+
+
+def _haar_unitaries(count: int, dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Stack of ``count`` Haar unitaries from one Gaussian draw and one stacked QR.
+
+    The stream is read unitary by unitary (real part, then imaginary part)
+    and the QR acts slice by slice, so slice ``s`` is the ``s``-th of
+    ``count`` sequential ``haar_unitary`` calls on the same generator.
+    """
+    g = rng.standard_normal((count, 2, dim, dim))
+    q, r = np.linalg.qr(g[:, 0] + 1j * g[:, 1])
+    d = np.diagonal(r, axis1=1, axis2=2)
+    return q * (d / np.abs(d))[:, None, :]
 
 
 def random_partition(total: int, rng: np.random.Generator, parts: int | None = None) -> list:

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+import roofentropy.accinfo as accinfo
 from roofentropy import (
     DensityOperator,
     Ensemble,
     Measurement,
+    SolverConfig,
     ValidationError,
     benatti_bracket,
     channel_from_measurement,
@@ -12,7 +14,15 @@ from roofentropy import (
     ensemble_from_subalgebra,
     holevo_check,
     measurement_mutual_info,
+    mutual_entropy,
     reduce_state,
+)
+from roofentropy.sampling import (
+    _haar_unitaries,
+    ginibre_density,
+    haar_unitary,
+    random_ensemble,
+    random_projections,
 )
 
 from conftest import FAST
@@ -22,6 +32,20 @@ LN2 = 0.6931471805599453
 RHO = np.array([[0.6, 0.2], [0.2, 0.4]])
 DIAG_PROJS = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
+
+
+def trine_outcomes():
+    outcomes = []
+    for k in range(3):
+        t = 2 * np.pi * k / 3
+        v = np.array([np.cos(t / 2), np.sin(t / 2)])
+        outcomes.append((2.0 / 3.0) * np.outer(v, v))
+    return tuple(outcomes)
+
+
+def reference_info(ensemble, measurement):
+    """Mutual entropy through the measurement's channel: the per-call route."""
+    return mutual_entropy(ensemble, channel_from_measurement(measurement))
 
 
 def bit_ensemble():
@@ -42,12 +66,7 @@ class TestMeasurement:
         assert np.allclose(m.outcomes[1], np.diag([0.0, 1.0]))
 
     def test_trine_povm_accepted(self):
-        outcomes = []
-        for k in range(3):
-            t = 2 * np.pi * k / 3
-            v = np.array([np.cos(t / 2), np.sin(t / 2)])
-            outcomes.append((2.0 / 3.0) * np.outer(v, v))
-        m = Measurement(tuple(outcomes))
+        m = Measurement(trine_outcomes())
         assert m.dim == 2
 
     def test_rejects_incomplete(self):
@@ -123,12 +142,7 @@ class TestMeasurementChannel:
         assert np.allclose(blocks.probabilities(), [0.5, 0.5], atol=1e-12)
 
     def test_trine_probabilities(self):
-        outcomes = []
-        for k in range(3):
-            t = 2 * np.pi * k / 3
-            v = np.array([np.cos(t / 2), np.sin(t / 2)])
-            outcomes.append((2.0 / 3.0) * np.outer(v, v))
-        m = Measurement(tuple(outcomes))
+        m = Measurement(trine_outcomes())
         rho = DensityOperator(np.diag([1.0, 0.0]))
         blocks = reduce_state(channel_from_measurement(m), rho)
         expect = [(2.0 / 3.0) * np.cos(np.pi * k / 3) ** 2 for k in range(3)]
@@ -147,6 +161,38 @@ class TestMutualInfo:
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError, match="dimension"):
             measurement_mutual_info(bit_ensemble(), Measurement.from_basis(np.eye(3)))
+
+    def test_matches_channel_route_for_random_bases(self, rng):
+        for dim in (2, 3, 4):
+            for size in (1, 2, 5):
+                ens = random_ensemble(dim, size, rng)
+                m = Measurement.from_basis(haar_unitary(dim, rng))
+                info = measurement_mutual_info(ens, m)
+                assert abs(info - reference_info(ens, m)) <= 1e-12
+
+    def test_matches_channel_route_for_povms(self, rng):
+        # The trine, and a basis whose outcomes are split into weighted
+        # copies: neither is projective, and the split outcomes have rank one
+        # with weights below one.
+        u = haar_unitary(3, rng)
+        split = []
+        for k, t in enumerate((0.2, 0.5, 0.9)):
+            proj = np.outer(u[:, k], u[:, k].conj())
+            split += [t * proj, (1.0 - t) * proj]
+        for outcomes in (trine_outcomes(), tuple(split)):
+            m = Measurement(outcomes)
+            ens = random_ensemble(m.dim, 3, rng)
+            info = measurement_mutual_info(ens, m)
+            assert abs(info - reference_info(ens, m)) <= 1e-12
+
+    def test_zero_weight_member_is_skipped(self, rng):
+        a, b, c = (ginibre_density(3, rng) for _ in range(3))
+        m = Measurement.from_basis(haar_unitary(3, rng))
+        with_zero = Ensemble(np.array([0.3, 0.0, 0.7]), (a, b, c))
+        without = Ensemble(np.array([0.3, 0.7]), (a, c))
+        info = measurement_mutual_info(with_zero, m)
+        assert abs(info - reference_info(with_zero, m)) <= 1e-12
+        assert abs(info - measurement_mutual_info(without, m)) <= 1e-12
 
 
 class TestBenattiBracket:
@@ -169,6 +215,47 @@ class TestBenattiBracket:
         assert bracket.closed
         assert abs(bracket.gap) <= 1e-7
         assert bracket.best_sample == 0
+
+    def test_negative_samples_rejected(self):
+        with pytest.raises(ValidationError, match="measurement_samples must be >= 0, got -5"):
+            benatti_bracket(
+                DensityOperator(RHO), DIAG_PROJS, FAST, measurement_samples=-5
+            )
+
+    def test_batched_haar_draw_matches_sequential(self):
+        for dim in (1, 2, 3, 5):
+            batch = _haar_unitaries(7, dim, np.random.default_rng([3, 104729]))
+            rng = np.random.default_rng([3, 104729])
+            sequential = [haar_unitary(dim, rng) for _ in range(7)]
+            assert batch.shape == (7, dim, dim)
+            assert all(np.array_equal(batch[s], sequential[s]) for s in range(7))
+
+    def test_samples_match_per_measurement_loop(self, rng, monkeypatch):
+        seen = []
+        batched = accinfo._mutual_info_many
+
+        def spy(ensemble, outcomes):
+            seen.append(batched(ensemble, outcomes))
+            return seen[-1]
+
+        monkeypatch.setattr(accinfo, "_mutual_info_many", spy)
+        for dim in (2, 3, 4):
+            rho = ginibre_density(dim, rng)
+            projs = random_projections(dim, rng)
+            cfg = SolverConfig(restarts=1, max_iters=5, seed=dim)
+            bracket = benatti_bracket(rho, projs, cfg, measurement_samples=40)
+            # Reference: one Measurement and channel per basis, with the Haar
+            # bases drawn one at a time from the same stream.
+            ens = ensemble_from_subalgebra(rho, projs)
+            draws = np.random.default_rng([cfg.seed, 104729])
+            bases = accinfo._structured_bases(rho, ens)
+            bases += [haar_unitary(dim, draws) for _ in range(40)]
+            expect = [reference_info(ens, Measurement.from_basis(b)) for b in bases]
+            values = seen.pop()
+            assert values.shape == (len(bases),) == (bracket.samples,)
+            assert np.max(np.abs(values - expect)) <= 1e-12
+            assert bracket.best_sample == expect.index(max(expect))
+            assert bracket.lower == values[bracket.best_sample]
 
     def test_holevo_slack_field(self):
         bracket = benatti_bracket(

@@ -225,6 +225,15 @@ class TestAccinfoCommand:
         assert status == 1
         assert "projections" in err
 
+    def test_negative_samples_rejected(self, capsys):
+        status, out, err = run_main(
+            capsys, "accinfo", "--state", RHO,
+            "--projections", "[[[1,0],[0,0]],[[0,0],[0,1]]]", "--samples", "-5",
+        )
+        assert status == 1
+        assert out == ""
+        assert "measurement_samples must be >= 0, got -5" in err
+
 
 class TestVerifyCommand:
     def _stub_report(self, failed):
