@@ -35,6 +35,7 @@ from .states import (
     Tolerances,
     ValidationError,
     _as_square_matrix,
+    _coerce_density,
     _xlnx,
     canonical_eigh,
     hermiticity_defect,
@@ -54,6 +55,7 @@ __all__ = [
 
 COMPLETENESS_TOL = 1e-10
 EIG_CUTOFF = 1e-14
+MEASUREMENT_BATCH = 256  # most measurements evaluated in one _mutual_info_many call
 
 
 @dataclasses.dataclass(frozen=True)
@@ -68,10 +70,8 @@ class Measurement:
         for i, e in enumerate(self.outcomes):
             try:
                 m = _as_square_matrix(e)
-            except ValidationError:
-                raise ValidationError(
-                    f"outcome {i} has shape {np.shape(e)}, expected square"
-                ) from None
+            except ValidationError as exc:
+                raise ValidationError(f"outcome {i}: {exc}") from None
             herm = hermiticity_defect(m)
             if herm > tol.herm:
                 raise ValidationError(f"outcome {i} not Hermitian: defect {herm:.3e}")
@@ -113,8 +113,7 @@ def ensemble_from_subalgebra(
     ``sqrt(rho) Q_j sqrt(rho) / p_j``; zero-weight outcomes are dropped.
     The mixture of the ensemble is ``rho`` itself.
     """
-    if not isinstance(rho, DensityOperator):
-        rho = DensityOperator(rho)
+    rho = _coerce_density(rho)
     mats, n = _validate_projections(projections)
     if n != rho.dim:
         raise ValidationError(f"projection dimension {n} != state dimension {rho.dim}")
@@ -232,27 +231,32 @@ def benatti_bracket(
     Structured measurement candidates (eigenbases of the state, the members,
     and pairwise midpoints) are evaluated first, then
     ``measurement_samples`` Haar-random orthonormal bases seeded from the
-    solver config; the count must be non-negative.  All of them are
-    evaluated in one batch.
+    solver config; the count must be non-negative.  They are evaluated in
+    batches of at most ``MEASUREMENT_BATCH``, with the Haar bases drawn
+    batch by batch, so memory does not grow with the sample count.
     """
     if measurement_samples < 0:
         raise ValidationError(
             f"measurement_samples must be >= 0, got {measurement_samples}"
         )
-    if not isinstance(rho, DensityOperator):
-        rho = DensityOperator(rho)
+    rho = _coerce_density(rho)
     cfg = config if config is not None else SolverConfig()
     ensemble = ensemble_from_subalgebra(rho, projections, tol)
     channel = commutative_channel(projections)
     roof = solve_R(rho, channel, cfg, tol)
     upper = roof.value_H
     rng = np.random.default_rng([cfg.seed, 104729])
-    bases = np.concatenate([
-        np.array(_structured_bases(rho, ensemble)),
-        _haar_unitaries(measurement_samples, rho.dim, rng),
-    ])
-    # Rank-one projectors onto the columns of each basis: E[s, i] = u_i u_i^dag.
-    infos = _mutual_info_many(ensemble, np.einsum("ski,sli->sikl", bases, bases.conj()))
+    structured = np.array(_structured_bases(rho, ensemble))
+    infos = np.empty(len(structured) + measurement_samples)
+    for at in range(0, infos.size, MEASUREMENT_BATCH):
+        stop = min(at + MEASUREMENT_BATCH, infos.size)
+        draws = stop - max(at, len(structured))
+        bases = structured[at:stop]
+        if draws > 0:
+            bases = np.concatenate([bases, _haar_unitaries(draws, rho.dim, rng)])
+        # Rank-one projectors onto the columns of each basis: E[s, i] = u_i u_i^dag.
+        outcomes = np.einsum("ski,sli->sikl", bases, bases.conj())
+        infos[at:stop] = _mutual_info_many(ensemble, outcomes)
     best = int(np.argmax(infos))
     lower = float(infos[best])
     slack = von_neumann_entropy(rho, tol) - upper
@@ -261,7 +265,7 @@ def benatti_bracket(
         upper=upper,
         gap=upper - lower,
         holevo_slack=slack,
-        samples=len(bases),
+        samples=infos.size,
         best_sample=best,
         passed=lower <= upper + 1e-6,
         closed=abs(upper - lower) <= 1e-5,
@@ -292,8 +296,7 @@ def holevo_check(
     ``roof`` reuses a solve of the same instance, such as
     ``BenattiBracket.roof``; without it the roof is solved here.
     """
-    if not isinstance(rho, DensityOperator):
-        rho = DensityOperator(rho)
+    rho = _coerce_density(rho)
     if roof is None:
         cfg = config if config is not None else SolverConfig()
         roof = solve_R(rho, commutative_channel(projections), cfg, tol)

@@ -21,6 +21,8 @@ from .states import (
     PureState,
     Tolerances,
     ValidationError,
+    _as_square_matrix,
+    _coerce_density,
     canonical_eigh,
     entropy_of_spectrum,
 )
@@ -84,6 +86,8 @@ class ReductionChannel:
                 raise ValidationError(
                     f"Kraus term for block {b} has shape {k.shape}, expected {(dims[b], self.input_dim)}"
                 )
+            if not np.isfinite(k).all():
+                raise ValidationError(f"Kraus term for block {b} has non-finite entries")
             k = k.copy()
             k.setflags(write=False)
             terms.append(KrausTerm(b, k))
@@ -118,9 +122,7 @@ class BlockDensity:
         mats = []
         total = 0.0
         for blk in self.blocks:
-            m = np.asarray(blk, dtype=complex)
-            if m.ndim != 2 or m.shape[0] != m.shape[1]:
-                raise ValidationError(f"block has shape {m.shape}, expected square")
+            m = _as_square_matrix(blk)
             defect = float(np.max(np.abs(m - m.conj().T)))
             if defect > tol.herm:
                 raise ValidationError(f"block not Hermitian: asymmetry {defect:.3e}")
@@ -155,10 +157,6 @@ class BlockDensity:
     def probabilities(self) -> np.ndarray:
         """Block traces as a probability vector (any block dimensions)."""
         return np.array([float(np.trace(b).real) for b in self.blocks])
-
-
-def _coerce_density(rho) -> DensityOperator:
-    return rho if isinstance(rho, DensityOperator) else DensityOperator(rho)
 
 
 def reduce_state(channel: ReductionChannel, rho, tol: Tolerances = DEFAULT_TOL) -> BlockDensity:
@@ -207,6 +205,8 @@ def _validate_projections(projections: Sequence[np.ndarray], dim_hint=None):
     for j, p in enumerate(mats):
         if p.shape != (n, n):
             raise ValidationError(f"projection {j} has shape {p.shape}, expected {(n, n)}")
+        if not np.isfinite(p).all():
+            raise ValidationError(f"projection {j} has non-finite entries")
         defect = float(np.max(np.abs(p @ p - p)))
         if defect > ORTHOGONALITY_TOL:
             raise ValidationError(f"projection {j} is not idempotent: defect {defect:.3e}")

@@ -21,6 +21,7 @@ from .states import (
     PureState,
     Tolerances,
     ValidationError,
+    _coerce_density,
     binary_entropy,
     canonical_eigh,
 )
@@ -38,6 +39,16 @@ DOMAIN_TOL = 1e-12
 ZERO_OVERLAP = 1e-12   # below this an overlap counts as exactly zero
 
 
+def _magnitude(z, domain_tol: float) -> float:
+    """``|z|`` of a finite off-diagonal entry inside the qubit domain."""
+    mag = abs(complex(z))
+    if not math.isfinite(mag):
+        raise ValidationError(f"off-diagonal entry {z!r} is not finite")
+    if mag > 0.5 + domain_tol:
+        raise ValidationError(f"off-diagonal magnitude {mag!r} outside the domain [0, 1/2]")
+    return mag
+
+
 def qubit_R(z, domain_tol: float = DOMAIN_TOL) -> float:
     """Exact roof value of a qubit under the diagonal pinching.
 
@@ -46,9 +57,7 @@ def qubit_R(z, domain_tol: float = DOMAIN_TOL) -> float:
     Any valid qubit density operator has ``|z| <= 1/2``; larger magnitudes
     are a domain error.
     """
-    mag = abs(complex(z))
-    if mag > 0.5 + domain_tol:
-        raise ValidationError(f"off-diagonal magnitude {mag!r} outside the domain [0, 1/2]")
+    mag = _magnitude(z, domain_tol)
     mag = min(mag, 0.5)
     q = 0.5 + 0.5 * math.sqrt(max(0.0, 1.0 - 4.0 * mag * mag))
     return binary_entropy(q)
@@ -71,9 +80,7 @@ def qubit_R_series(z, terms: int, domain_tol: float = DOMAIN_TOL) -> float:
     """
     if terms < 1:
         raise ValidationError(f"terms must be >= 1, got {terms}")
-    mag = abs(complex(z))
-    if mag > 0.5 + domain_tol:
-        raise ValidationError(f"off-diagonal magnitude {mag!r} outside the domain [0, 1/2]")
+    mag = _magnitude(z, domain_tol)
     u = max(0.0, 1.0 - 4.0 * min(mag, 0.5) ** 2)
     k = np.arange(1, terms + 1, dtype=float)
     return float(math.log(2.0) - np.sum(u**k / (2.0 * k * (2.0 * k - 1.0))))
@@ -113,8 +120,7 @@ def block_example_analyze(
     eigendirection and the defining identities of ``mu_plus``/``mu_minus``
     when they exist.
     """
-    if not isinstance(rho, DensityOperator):
-        rho = DensityOperator(rho)
+    rho = _coerce_density(rho)
     if not isinstance(psi, PureState):
         psi = PureState(np.asarray(psi, dtype=complex))
     if rho.dim != psi.dim:
@@ -196,8 +202,7 @@ def block_example_decomposition(
     the linear system for the weights leaves the simplex or the rebuilt
     mixture misses the state (construction failure).
     """
-    if not isinstance(rho, DensityOperator):
-        rho = DensityOperator(rho)
+    rho = _coerce_density(rho)
     if math.isnan(data.mu_plus):
         raise ValidationError(f"z = {data.z!r} exceeds 1/2: no real mixing weights exist")
     psi = data.psi.vector

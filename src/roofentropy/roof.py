@@ -26,6 +26,7 @@ from .states import (
     Tolerances,
     ValidationError,
     canonical_eigh,
+    _coerce_density,
     _xlnx,
 )
 
@@ -46,6 +47,10 @@ FD_STEP = 1e-7          # forward-difference step on the ambient parameters
 INITIAL_STEP = 0.25
 LADDER = 8              # step-halving candidates evaluated per line search
 OBJECTIVE_BATCH = 512   # most isometries stacked into one objective_many call
+# Most multiply-adds in one GEMM of objective_many.  OpenBLAS hands larger
+# products to its thread pool, and with default threads that hand-off
+# stalled these thin products by milliseconds; qubit stacks stay one GEMM.
+GEMM_WORK = 65536
 STEP_CAP = 1.0
 
 
@@ -114,8 +119,7 @@ def decomposition_from_isometry(
     isometry must have exactly ``rank(rho)`` orthonormal columns; members
     with weight at or below ``weight_cutoff`` are dropped.
     """
-    if not isinstance(rho, DensityOperator):
-        rho = DensityOperator(rho)
+    rho = _coerce_density(rho)
     v = np.asarray(isometry, dtype=complex)
     if v.ndim != 2:
         raise ValidationError(f"isometry must be a matrix, got shape {v.shape}")
@@ -147,6 +151,18 @@ def roof_objective(ensemble: Ensemble, channel: ReductionChannel) -> float:
     return total
 
 
+def _pair_entropy(g00: np.ndarray, g11: np.ndarray, g01: np.ndarray) -> np.ndarray:
+    """Sum of -x ln x over the spectra of a stack of 2x2 Hermitian matrices.
+
+    The matrices are ``[[g00, g01], [conj(g01), g11]]``; their eigenvalues
+    are ``mean -/+ hypot((g00 - g11) / 2, |g01|)``, and negative roundoff
+    clips to zero in ``_xlnx``.
+    """
+    mean = 0.5 * (g00 + g11)
+    radius = np.hypot(0.5 * (g00 - g11), np.abs(g01))
+    return _xlnx(mean - radius) + _xlnx(mean + radius)
+
+
 class _Evaluator:
     """Vectorized objective over batches of mixing isometries.
 
@@ -154,7 +170,10 @@ class _Evaluator:
     concatenated Kraus matrix.  For a pure member, each output block is a
     small Gram form; blocks fed by a single Kraus term (and all
     1-dimensional blocks) contribute a plain squared norm, so only blocks
-    with several multi-row Kraus terms need a batched eigensolve.
+    with several multi-row Kraus terms need the Gram spectrum.  The Gram
+    matrix has one row per Kraus term of the block: 2x2 Grams take their
+    eigenvalues in closed form over the whole stack, larger ones go through
+    a batched eigensolve.
     """
 
     def __init__(self, rho: DensityOperator, channel: ReductionChannel, tol: Tolerances):
@@ -167,7 +186,8 @@ class _Evaluator:
         norm_rows: list[np.ndarray] = []
         norm_starts: list[int] = []
         at = 0
-        gram_specs = []  # (list of (start, d) after the norm section, op count)
+        pair_specs = []  # (start, d) after the norm section: two Kraus terms
+        gram_specs = []  # (list of starts after the norm section, d): three or more
         gram_rows: list[np.ndarray] = []
         gram_at = 0
         for b in range(channel.block_count):
@@ -186,21 +206,44 @@ class _Evaluator:
                     gram_rows.append(k)
                     spans.append(gram_at)
                     gram_at += d
-                gram_specs.append((spans, d))
+                if len(spans) == 2:
+                    pair_specs.append((spans[0], d))
+                else:
+                    gram_specs.append((spans, d))
         self.norm_count = at
         self.norm_starts = np.array(norm_starts, dtype=np.intp)
+        self.pair_specs = pair_specs
         self.gram_specs = gram_specs
         stacked = norm_rows + gram_rows
         self.kraus_t = np.vstack(stacked).T.copy() if stacked else None
         self.reduced_entropy = block_entropy(reduce_state(channel, rho))
 
     def objective_many(self, isometries: np.ndarray) -> np.ndarray:
-        """Objective for a stack of isometries, shape (batch, m, r) -> (batch,)."""
-        phi = isometries @ self.root
-        a = phi @ self.kraus_t
+        """Objective for a stack of isometries, shape (batch, m, r) -> (batch,).
+
+        Both products run as GEMMs over the flattened (batch * m) rows, in
+        row blocks of at most ``GEMM_WORK`` multiply-adds.  Rows do not mix,
+        so every slice gets the same arithmetic whatever the batch size.
+        """
+        batch, m, r = isometries.shape
+        rows = isometries.reshape(batch * m, r)
+        n, width = self.root.shape[1], self.kraus_t.shape[1]
+        phi = np.empty((batch * m, n), dtype=complex)
+        a = np.empty((batch * m, width), dtype=complex)
+        step = max(1, GEMM_WORK // (n * max(r, width)))
+        for at in range(0, batch * m, step):
+            np.matmul(rows[at : at + step], self.root, out=phi[at : at + step])
+            np.matmul(phi[at : at + step], self.kraus_t, out=a[at : at + step])
+        phi, a = phi.reshape(batch, m, n), a.reshape(batch, m, width)
         nu = a.real**2 + a.imag**2
         norm_part = np.add.reduceat(nu[..., : self.norm_count], self.norm_starts, axis=-1)
         total = _xlnx(norm_part).sum(axis=(-1, -2))
+        for s, d in self.pair_specs:
+            at = self.norm_count + s
+            g00 = nu[..., at : at + d].sum(axis=-1)
+            g11 = nu[..., at + d : at + 2 * d].sum(axis=-1)
+            g01 = (a[..., at : at + d].conj() * a[..., at + d : at + 2 * d]).sum(axis=-1)
+            total = total + _pair_entropy(g00, g11, g01).sum(axis=-1)
         for spans, d in self.gram_specs:
             cols = [a[..., self.norm_count + s : self.norm_count + s + d] for s in spans]
             stackv = np.stack(cols, axis=-2)  # (batch, m, ops, d)
@@ -277,7 +320,7 @@ def _descend(ev: _Evaluator, starts: np.ndarray, cfg: SolverConfig):
         if live.size == 0:
             break
         grad = _fd_gradient(ev, v[live], f[live])
-        zero = np.array([np.linalg.norm(g) for g in grad]) < 1e-13
+        zero = np.linalg.norm(grad.reshape(len(grad), -1), axis=1) < 1e-13
         idx = live[~zero]
         scales = step[idx, None] * ladder
         candidates = v[idx, None] - scales[..., None, None] * grad[~zero, None]
@@ -345,8 +388,7 @@ def solve_R(
     if isinstance(trace, str):
         with open(trace, "w", encoding="utf-8") as fh:
             return solve_R(rho, channel, config, tol, trace=fh)
-    if not isinstance(rho, DensityOperator):
-        rho = DensityOperator(rho)
+    rho = _coerce_density(rho)
     cfg = config if config is not None else SolverConfig()
     if rho.dim != channel.input_dim:
         raise ValidationError(f"state dimension {rho.dim} != channel input {channel.input_dim}")
@@ -471,8 +513,7 @@ def zero_entropy_structure(
         raise ValidationError(
             f"zero-entropy structure needs value_H <= 1e-6, got {result.value_H:.3e}"
         )
-    if not isinstance(rho, DensityOperator):
-        rho = DensityOperator(rho)
+    rho = _coerce_density(rho)
     lam, vecs = _clean_rank(rho, tol)
     per_block: dict[int, list[np.ndarray]] = {}
     for b, k in channel.kraus:

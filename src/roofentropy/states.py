@@ -70,6 +70,8 @@ def _as_square_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValidationError("matrix has non-finite entries")
     return a
 
 
@@ -204,6 +206,8 @@ class PureState:
         v = np.asarray(self.vector, dtype=complex)
         if v.ndim != 1 or v.size == 0:
             raise ValidationError(f"expected a nonempty vector, got shape {v.shape}")
+        if not np.isfinite(v).all():
+            raise ValidationError("state vector has non-finite entries")
         nrm = float(np.linalg.norm(v))
         if abs(nrm - 1.0) > tol.norm:
             raise ValidationError(f"state vector norm {nrm!r} deviates from 1 beyond {tol.norm:.3e}")

@@ -86,6 +86,10 @@ class TestMeasurement:
         with pytest.raises(ValidationError, match="square"):
             Measurement((np.ones((1, 2)),))
 
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValidationError, match="outcome 1: .*non-finite"):
+            Measurement((np.diag([1.0, 0.0]), np.diag([0.0, np.nan])))
+
     def test_rejects_empty(self):
         with pytest.raises(ValidationError, match="at least one"):
             Measurement(())
@@ -256,6 +260,34 @@ class TestBenattiBracket:
             assert np.max(np.abs(values - expect)) <= 1e-12
             assert bracket.best_sample == expect.index(max(expect))
             assert bracket.lower == values[bracket.best_sample]
+
+    def test_chunked_samples_match_per_measurement_loop(self, rng, monkeypatch):
+        # More Haar samples than one batch holds: the draws continue across
+        # batches in stream order, and the values line up with the loop.
+        seen = []
+        batched = accinfo._mutual_info_many
+
+        def spy(ensemble, outcomes):
+            seen.append(batched(ensemble, outcomes))
+            return seen[-1]
+
+        monkeypatch.setattr(accinfo, "_mutual_info_many", spy)
+        samples = accinfo.MEASUREMENT_BATCH + 3
+        rho = ginibre_density(3, rng)
+        projs = random_projections(3, rng)
+        cfg = SolverConfig(restarts=1, max_iters=5, seed=11)
+        bracket = benatti_bracket(rho, projs, cfg, measurement_samples=samples)
+        ens = ensemble_from_subalgebra(rho, projs)
+        draws = np.random.default_rng([cfg.seed, 104729])
+        bases = accinfo._structured_bases(rho, ens)
+        bases += [haar_unitary(3, draws) for _ in range(samples)]
+        expect = [reference_info(ens, Measurement.from_basis(b)) for b in bases]
+        assert [v.size for v in seen] == [accinfo.MEASUREMENT_BATCH, len(bases) - accinfo.MEASUREMENT_BATCH]
+        values = np.concatenate(seen)
+        assert bracket.samples == len(bases)
+        assert np.max(np.abs(values - expect)) <= 1e-12
+        assert bracket.best_sample == expect.index(max(expect))
+        assert bracket.lower == values[bracket.best_sample]
 
     def test_holevo_slack_field(self):
         bracket = benatti_bracket(

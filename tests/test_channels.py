@@ -43,6 +43,11 @@ class TestReductionChannel:
         with pytest.raises(ValidationError):
             ReductionChannel(2, (1,), ((0, np.eye(2)),))
 
+    def test_non_finite_kraus_rejected(self):
+        # NaN fails every comparison, so the completeness check alone lets it through
+        with pytest.raises(ValidationError, match="non-finite"):
+            ReductionChannel(2, (1, 1), ((0, [[1.0, np.nan]]), (1, [[0.0, 1.0]])))
+
     def test_output_dim(self):
         ch = diagonal_pinching(3)
         assert ch.block_count == 3
@@ -108,6 +113,10 @@ class TestPinching:
         with pytest.raises(ValidationError, match="orthogonal"):
             pinching([q, q])
 
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValidationError, match="projection 0 has non-finite"):
+            pinching([np.diag([np.nan, 0.0]), np.diag([0.0, 1.0])])
+
     def test_rejects_incomplete_family(self):
         with pytest.raises(ValidationError, match="identity"):
             pinching([np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 0.0])])
@@ -165,6 +174,10 @@ class TestBlockDensity:
     def test_blocks_must_be_positive(self):
         with pytest.raises(ValidationError):
             BlockDensity((np.array([[1.5]]), np.array([[-0.5]])))
+
+    def test_non_finite_block_rejected(self):
+        with pytest.raises(ValidationError, match="non-finite"):
+            BlockDensity((np.array([[np.nan]]), np.array([[0.5]])))
 
     def test_to_dense_direct_sum(self):
         bd = BlockDensity((np.array([[0.5]]), np.array([[0.5]])))

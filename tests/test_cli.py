@@ -277,6 +277,18 @@ class TestErrorPaths:
         assert out == ""
         assert err.startswith("error:")
 
+    def test_non_finite_input_exits_one(self, capsys):
+        for argv in (
+            ("entropy", "--state", "[[NaN,0],[0,1]]"),
+            ("qubit-oracle", "--z", "nan"),
+            ("qubit-oracle", "--z", "[0.1, NaN]"),
+            ("accinfo", "--state", RHO, "--projections", "[[[NaN,0],[0,0]],[[0,0],[0,1]]]"),
+        ):
+            status, out, err = run_main(capsys, *argv)
+            assert status == 1
+            assert out == ""
+            assert "non-finite" in err or "not finite" in err
+
     def test_missing_file(self, capsys):
         status, _, err = run_main(capsys, "entropy", "--state", "/no/such/file.json")
         assert status == 1

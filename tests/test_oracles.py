@@ -52,6 +52,11 @@ class TestQubitClosedForm:
         with pytest.raises(ValidationError, match="1/2"):
             qubit_R(0.51)
 
+    def test_non_finite_rejected(self):
+        for z in (math.nan, complex(0.1, math.nan), math.inf):
+            with pytest.raises(ValidationError, match="not finite"):
+                qubit_R(z)
+
     def test_boundary_tolerance(self):
         # values a hair over 1/2 from rounding are clamped, not rejected
         assert qubit_R(0.5 + 1e-14) == pytest.approx(LN2, abs=1e-12)
@@ -93,6 +98,10 @@ class TestQubitSeries:
     def test_domain_error(self):
         with pytest.raises(ValidationError):
             qubit_R_series(0.6, 10)
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValidationError, match="not finite"):
+            qubit_R_series(math.nan, 10)
 
 
 class TestBlockExampleAnalyze:

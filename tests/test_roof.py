@@ -7,6 +7,7 @@ import pytest
 from roofentropy import (
     DensityOperator,
     PureState,
+    ReductionChannel,
     SolverConfig,
     ValidationError,
     affinity_certificate,
@@ -26,10 +27,12 @@ from roofentropy.roof import (
     OBJECTIVE_BATCH,
     _Evaluator,
     _fd_gradient,
+    _pair_entropy,
     _retract,
     _start_isometries,
 )
-from roofentropy.states import DEFAULT_TOL
+from roofentropy.sampling import ginibre_density, haar_unitary
+from roofentropy.states import DEFAULT_TOL, _xlnx
 
 from conftest import FAST
 
@@ -104,6 +107,70 @@ class TestVectorizedObjective:
                 fast = ev.objective_many(v[None])[0]
                 slow = roof_objective(decomposition_from_isometry(rho, v), channel)
                 assert fast == pytest.approx(slow, abs=1e-9)
+
+
+def gram_channels(rng):
+    """Channels whose blocks are fed by several multi-row Kraus terms.
+
+    The first has two terms on a 2-dim block, next to a scalar block.  The
+    second mixes unitaries: three terms on a 3-dim block, two on another
+    3-dim block and one on a third, so all three evaluator paths run side by
+    side.
+    """
+    rows = haar_unitary(5, rng).conj().T
+    pair = ReductionChannel(
+        5, (2, 1), ((0, rows[0:2]), (0, rows[2:4]), (1, rows[4:5]))
+    )
+    weights = (0.2, 0.2, 0.2, 0.15, 0.15, 0.1)
+    blocks = (0, 0, 0, 1, 1, 2)
+    mixed = ReductionChannel(
+        3,
+        (3, 3, 3),
+        tuple((b, math.sqrt(w) * haar_unitary(3, rng)) for b, w in zip(blocks, weights)),
+    )
+    return pair, mixed
+
+
+class TestGramBlocks:
+    def test_matches_slow_path(self, rng):
+        pair, mixed = gram_channels(rng)
+        for channel, pairs, grams in ((pair, 1, 0), (mixed, 1, 1)):
+            n = channel.input_dim
+            rho = ginibre_density(n, rng)
+            ev = _Evaluator(rho, channel, DEFAULT_TOL)
+            assert (len(ev.pair_specs), len(ev.gram_specs)) == (pairs, grams)
+            for start in _start_isometries(n * n, ev.rank, SolverConfig(restarts=4, seed=3)):
+                v = _retract(start[None])[0]
+                fast = ev.objective_many(v[None])[0]
+                slow = roof_objective(decomposition_from_isometry(rho, v), channel)
+                assert fast == pytest.approx(slow, abs=1e-9)
+
+    def test_closed_form_matches_eigvalsh(self, rng):
+        x = rng.normal(size=(400, 2, 3)) + 1j * rng.normal(size=(400, 2, 3))
+        # Near rank one: the second row within 1e-4 .. 1e-9 of the first.
+        eps = np.logspace(-4, -9, 200)[:, None]
+        x[200:, 1] = x[200:, 0] + eps * x[200:, 1]
+        x /= np.sqrt((np.abs(x) ** 2).sum(axis=(1, 2)))[:, None, None]
+        gram = x @ x.conj().transpose(0, 2, 1)
+        closed = _pair_entropy(gram[:, 0, 0].real, gram[:, 1, 1].real, gram[:, 0, 1])
+        reference = _xlnx(np.linalg.eigvalsh(gram)).sum(axis=-1)
+        assert np.max(np.abs(closed - reference)) <= 1e-12
+
+    def test_stack_equals_single_slices(self, rng):
+        # Lockstep restarts are bit-identical to one-at-a-time solves only if
+        # a slice's value does not depend on the rest of the stack.  For both
+        # Gram channels, 150 isometries span two GEMM row blocks, cut inside
+        # an isometry.
+        pair, mixed = gram_channels(rng)
+        for channel in (pair, mixed, diagonal_pinching(2)):
+            n = channel.input_dim
+            rho = ginibre_density(n, rng)
+            ev = _Evaluator(rho, channel, DEFAULT_TOL)
+            shape = (150, n * n, ev.rank)
+            v = _retract(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+            stacked = ev.objective_many(v)
+            single = np.array([ev.objective_many(v[i : i + 1])[0] for i in range(len(v))])
+            assert np.array_equal(stacked, single)
 
 
 class TestSolveR:

@@ -47,6 +47,11 @@ class TestDensityOperator:
         assert np.allclose(rho.spectrum(), [0.2, 0.3, 0.5])
         assert rho.purity() == pytest.approx(0.38, abs=1e-12)
 
+    def test_non_finite_rejected(self):
+        for bad in (np.nan, np.inf, complex(0.0, np.nan)):
+            with pytest.raises(ValidationError, match="non-finite"):
+                DensityOperator([[bad, 0.0], [0.0, 1.0]])
+
     def test_custom_tolerance_loosens_trace(self):
         loose = Tolerances(herm=1e-3, trace=1e-3, norm=1e-3, psd=1e-3, support=1e-4)
         DensityOperator([[0.5, 0], [0, 0.5004]], loose)
@@ -56,6 +61,10 @@ class TestPureState:
     def test_unit_norm_required(self):
         with pytest.raises(ValidationError, match="norm"):
             PureState([1.0, 1.0])
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValidationError, match="non-finite"):
+            PureState([np.nan, 1.0])
 
     def test_projector_and_density(self):
         plus = PureState(np.array([1.0, 1.0]) / math.sqrt(2))
@@ -146,6 +155,10 @@ class TestEigh:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValidationError, match="asymmetry"):
             eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValidationError, match="non-finite"):
+            eigh(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
     def test_pauli_x(self):
         w, v = eigh(np.array([[0.0, 1.0], [1.0, 0.0]]))
