@@ -76,8 +76,8 @@ class JobSpec:
     def tolerances(self) -> Tolerances:
         if self.tol is None:
             return DEFAULT_TOL
-        if self.tol <= 0:
-            raise ValidationError(f"--tol must be positive, got {self.tol!r}")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValidationError(f"--tol must be finite and positive, got {self.tol!r}")
         return Tolerances(
             herm=self.tol, trace=self.tol, norm=self.tol, psd=self.tol,
             support=0.1 * self.tol,

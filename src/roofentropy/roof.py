@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 
 import numpy as np
 
@@ -73,6 +74,19 @@ class SolverConfig:
     value_tol: float = 1e-9
 
     def __post_init__(self):
+        for name in ("max_length", "restarts", "seed", "max_iters"):
+            value = getattr(self, name)
+            if value is None and name == "max_length":
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
+        for name in ("step_tol", "value_tol"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not (math.isfinite(value) and value >= 0)):
+                raise ValidationError(f"{name} must be finite and >= 0, got {value!r}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.restarts < 1:
             raise ValidationError(f"restarts must be >= 1, got {self.restarts}")
         if self.max_length is not None and self.max_length < 1:
@@ -151,16 +165,28 @@ def roof_objective(ensemble: Ensemble, channel: ReductionChannel) -> float:
     return total
 
 
-def _pair_entropy(g00: np.ndarray, g11: np.ndarray, g01: np.ndarray) -> np.ndarray:
+def _pair_entropy(g00: np.ndarray, g11: np.ndarray, g01: np.ndarray, out=None) -> np.ndarray:
     """Sum of -x ln x over the spectra of a stack of 2x2 Hermitian matrices.
 
     The matrices are ``[[g00, g01], [conj(g01), g11]]``; their eigenvalues
     are ``mean -/+ hypot((g00 - g11) / 2, |g01|)``, and negative roundoff
-    clips to zero in ``_xlnx``.
+    clips to zero in ``_xlnx``.  ``out`` is a float work array of shape
+    ``(3,) + g00.shape``, new when not given; the result is its first slice.
+    The inputs are left unchanged.
     """
-    mean = 0.5 * (g00 + g11)
-    radius = np.hypot(0.5 * (g00 - g11), np.abs(g01))
-    return _xlnx(mean - radius) + _xlnx(mean + radius)
+    if out is None:
+        out = np.empty((3,) + np.shape(g00))
+    radius, mean, work = out
+    np.add(g00, g11, out=mean)
+    np.multiply(0.5, mean, out=mean)
+    np.subtract(g00, g11, out=radius)
+    np.multiply(0.5, radius, out=radius)
+    np.hypot(radius, np.abs(g01, out=work), out=radius)
+    np.subtract(mean, radius, out=work)
+    np.add(mean, radius, out=mean)
+    _xlnx(work, out=work, scratch=radius)
+    _xlnx(mean, out=mean, scratch=radius)
+    return np.add(work, mean, out=radius)
 
 
 class _Evaluator:
@@ -174,6 +200,11 @@ class _Evaluator:
     matrix has one row per Kraus term of the block: 2x2 Grams take their
     eigenvalues in closed form over the whole stack, larger ones go through
     a batched eigensolve.
+
+    Every stage of a call is computed in place in work arrays that the
+    evaluator keeps and reuses across calls, each grown to the largest
+    stack it has seen.  The buffers belong to this evaluator, and so to one
+    solve: do not share an evaluator across solves or threads.
     """
 
     def __init__(self, rho: DensityOperator, channel: ReductionChannel, tol: Tolerances):
@@ -217,6 +248,19 @@ class _Evaluator:
         stacked = norm_rows + gram_rows
         self.kraus_t = np.vstack(stacked).T.copy() if stacked else None
         self.reduced_entropy = block_entropy(reduce_state(channel, rho))
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def work(self, name: str, shape: tuple, dtype=float) -> np.ndarray:
+        """Work array ``name`` viewed with ``shape``; its contents are stale.
+
+        One flat array per name, replaced by a larger one when a call needs
+        more room, so every view starts at the array's first element.
+        """
+        size = math.prod(shape)
+        flat = self._buffers.get(name)
+        if flat is None or flat.size < size:
+            flat = self._buffers[name] = np.empty(size, dtype=dtype)
+        return flat[:size].reshape(shape)
 
     def objective_many(self, isometries: np.ndarray) -> np.ndarray:
         """Objective for a stack of isometries, shape (batch, m, r) -> (batch,).
@@ -224,47 +268,68 @@ class _Evaluator:
         Both products run as GEMMs over the flattened (batch * m) rows, in
         row blocks of at most ``GEMM_WORK`` multiply-adds.  Rows do not mix,
         so every slice gets the same arithmetic whatever the batch size.
+        The returned array is new; only the intermediates live in the work
+        arrays.
         """
         batch, m, r = isometries.shape
         rows = isometries.reshape(batch * m, r)
         n, width = self.root.shape[1], self.kraus_t.shape[1]
-        phi = np.empty((batch * m, n), dtype=complex)
-        a = np.empty((batch * m, width), dtype=complex)
+        phi = self.work("phi", (batch * m, n), complex)
+        a = self.work("a", (batch * m, width), complex)
         step = max(1, GEMM_WORK // (n * max(r, width)))
         for at in range(0, batch * m, step):
             np.matmul(rows[at : at + step], self.root, out=phi[at : at + step])
             np.matmul(phi[at : at + step], self.kraus_t, out=a[at : at + step])
         phi, a = phi.reshape(batch, m, n), a.reshape(batch, m, width)
-        nu = a.real**2 + a.imag**2
-        norm_part = np.add.reduceat(nu[..., : self.norm_count], self.norm_starts, axis=-1)
-        total = _xlnx(norm_part).sum(axis=(-1, -2))
+        nu = self._abs2("nu", a)
+        norm_part = np.add.reduceat(
+            nu[..., : self.norm_count], self.norm_starts, axis=-1,
+            out=self.work("norm", (batch, m, self.norm_starts.size)),
+        )
+        total = _xlnx(norm_part, out=norm_part, scratch=self.work("ln", norm_part.shape)).sum(
+            axis=(-1, -2)
+        )
         for s, d in self.pair_specs:
             at = self.norm_count + s
-            g00 = nu[..., at : at + d].sum(axis=-1)
-            g11 = nu[..., at + d : at + 2 * d].sum(axis=-1)
-            g01 = (a[..., at : at + d].conj() * a[..., at + d : at + 2 * d]).sum(axis=-1)
-            total = total + _pair_entropy(g00, g11, g01).sum(axis=-1)
+            g00 = nu[..., at : at + d].sum(axis=-1, out=self.work("g00", (batch, m)))
+            g11 = nu[..., at + d : at + 2 * d].sum(axis=-1, out=self.work("g11", (batch, m)))
+            prod = np.conjugate(a[..., at : at + d], out=self.work("prod", (batch, m, d), complex))
+            np.multiply(prod, a[..., at + d : at + 2 * d], out=prod)
+            g01 = prod.sum(axis=-1, out=self.work("g01", (batch, m), complex))
+            pair = _pair_entropy(g00, g11, g01, out=self.work("pair", (3, batch, m)))
+            total += pair.sum(axis=-1)
         for spans, d in self.gram_specs:
             cols = [a[..., self.norm_count + s : self.norm_count + s + d] for s in spans]
-            stackv = np.stack(cols, axis=-2)  # (batch, m, ops, d)
-            gram = np.einsum("...ip,...tp->...it", stackv.conj(), stackv)
+            shape = (batch, m, len(spans), d)
+            stackv = np.stack(cols, axis=-2, out=self.work("stack", shape, complex))
+            conj = np.conjugate(stackv, out=self.work("conj", shape, complex))
+            gram = np.einsum(
+                "...ip,...tp->...it", conj, stackv,
+                out=self.work("gram", (batch, m, len(spans), len(spans)), complex),
+            )
             eigs = np.linalg.eigvalsh(gram)
-            total = total + _xlnx(eigs).sum(axis=(-1, -2))
-        p = (phi.real**2 + phi.imag**2).sum(axis=-1)
-        return total - _xlnx(p).sum(axis=-1)
+            total += _xlnx(eigs, out=eigs).sum(axis=(-1, -2))
+        p = self._abs2("phi2", phi).sum(axis=-1, out=self.work("p", (batch, m)))
+        return total - _xlnx(p, out=p, scratch=self.work("ln", p.shape)).sum(axis=-1)
+
+    def _abs2(self, name: str, z: np.ndarray) -> np.ndarray:
+        """``z.real**2 + z.imag**2`` in work array ``name``."""
+        out = np.square(z.real, out=self.work(name, z.shape))
+        return np.add(out, np.square(z.imag, out=self.work("sq", z.shape)), out=out)
 
 
 def _retract(a: np.ndarray) -> np.ndarray:
     """QR re-orthonormalization with positive-real R-diagonal.
 
     Acts along the last two axes; fixed phases make the map the identity on
-    matrices that are already isometric.
+    matrices that are already isometric.  ``a`` is left unchanged.
     """
     q, r = np.linalg.qr(a)
     d = np.diagonal(r, axis1=-2, axis2=-1)
     mag = np.abs(d)
     phase = np.where(mag > 0.0, d / np.where(mag > 0.0, mag, 1.0), 1.0)
-    return q * phase[..., None, :]
+    q *= phase[..., None, :]
+    return q
 
 
 def _fd_gradient(ev: _Evaluator, v: np.ndarray, f0: np.ndarray) -> np.ndarray:
@@ -274,6 +339,10 @@ def _fd_gradient(ev: _Evaluator, v: np.ndarray, f0: np.ndarray) -> np.ndarray:
     objective values.  The 2·m·r perturbed copies of each are built and
     evaluated in chunks of whole restarts, at most ``OBJECTIVE_BATCH``
     isometries each; only a restart with more copies than that is split.
+    Each chunk's copies are gathered into one of the evaluator's work
+    arrays, and only the bumped entry of each copy is then added to: a
+    broadcast add would turn its -0.0 entries into +0.0, which flips the
+    sign QR gives a reflector.
     """
     k, m, r = v.shape
     count = m * r
@@ -284,7 +353,8 @@ def _fd_gradient(ev: _Evaluator, v: np.ndarray, f0: np.ndarray) -> np.ndarray:
     values = np.empty(total)
     for at in range(0, total, chunk):
         own, col = np.divmod(np.arange(at, min(at + chunk, total)), span)
-        batch = flat[own]
+        batch = np.take(flat, own, axis=0, out=ev.work("fd", (own.size, count), complex),
+                        mode="clip")
         batch[np.arange(own.size), col % count] += np.where(col < count, FD_STEP, 1j * FD_STEP)
         values[at : at + own.size] = ev.objective_many(_retract(batch.reshape(-1, m, r)))
     g = (values.reshape(k, span) - f0[:, None]) / FD_STEP

@@ -226,11 +226,21 @@ class PureState:
         return DensityOperator(self.projector())
 
 
-def _xlnx(x: np.ndarray) -> np.ndarray:
-    """Elementwise -x ln x with the convention 0 ln 0 = 0; negatives clip to 0."""
-    x = np.maximum(np.asarray(x, dtype=float), 0.0)
-    safe = np.where(x > 0.0, x, 1.0)
-    return -x * np.log(safe)
+def _xlnx(x, out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
+    """Elementwise -x ln x with the convention 0 ln 0 = 0; negatives clip to 0.
+
+    The result goes to ``out`` and the logarithm to ``scratch``, float arrays
+    of the shape of ``x``; each is a new array when not given.  ``out`` may
+    be ``x`` itself, otherwise ``x`` is left unchanged.
+    """
+    x = np.asarray(x, dtype=float)
+    x = np.maximum(x, 0.0, out=out if out is not None else np.empty_like(x))
+    # ln of x where x > 0 and of 1 where x == 0: adding 0.0 or 1.0 is exact.
+    ln = np.equal(x, 0.0, out=scratch if scratch is not None else np.empty_like(x))
+    np.add(ln, x, out=ln)
+    np.log(ln, out=ln)
+    np.negative(x, out=x)
+    return np.multiply(x, ln, out=x)
 
 
 def entropy_of_spectrum(values, tol: Tolerances = DEFAULT_TOL) -> float:

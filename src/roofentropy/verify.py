@@ -470,6 +470,8 @@ def run_verify(seed: int = 0, samples: int = 1, solver: SolverConfig | None = No
     """Run the invariant suite; returns a JSON-ready deterministic report."""
     if samples < 1:
         raise ValidationError(f"samples must be >= 1, got {samples}")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     cfg = solver if solver is not None else SolverConfig(
         restarts=VERIFY_SOLVER.restarts,
         max_iters=VERIFY_SOLVER.max_iters,

@@ -289,6 +289,27 @@ class TestErrorPaths:
             assert out == ""
             assert "non-finite" in err or "not finite" in err
 
+    def test_non_finite_tol_exits_one(self, capsys):
+        # A NaN tolerance used to pass every check: this unnormalized,
+        # non-PSD "state" reported entropy -0.608 and purity 2.5.
+        bad = "[[[1.5,0],[0,0]],[[0,0],[-0.5,0]]]"
+        for tol in ("nan", "inf"):
+            status, out, err = run_main(capsys, "entropy", "--state", bad, "--tol", tol)
+            assert status == 1
+            assert out == ""
+            assert "--tol" in err
+
+    def test_negative_seed_exits_one(self, capsys):
+        for argv in (
+            ("roof", "--state", RHO, "--channel", DIAG2, "--seed", "-3"),
+            ("verify", "--seed", "-1"),
+            ("verify", "--seed", "-1", "--restarts", "1"),
+        ):
+            status, out, err = run_main(capsys, *argv)
+            assert status == 1
+            assert out == ""
+            assert err.startswith("error:") and "seed" in err
+
     def test_missing_file(self, capsys):
         status, _, err = run_main(capsys, "entropy", "--state", "/no/such/file.json")
         assert status == 1

@@ -172,6 +172,15 @@ class TestSolverConfig:
         with pytest.raises(ValidationError, match="unknown keys"):
             solver_config_from_json({"iterations": 10})
 
+    @pytest.mark.parametrize(
+        "data",
+        [{"restarts": 2.5}, {"restarts": "3"}, {"max_iters": 10.0}, {"seed": -1},
+         {"value_tol": float("inf")}, {"step_tol": float("nan")}, {"step_tol": None}],
+    )
+    def test_bad_values_rejected(self, data):
+        with pytest.raises(ValidationError, match=next(iter(data))):
+            solver_config_from_json(data)
+
 
 class TestRoundFloats:
     def test_rounds_to_significant_digits(self):

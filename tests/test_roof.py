@@ -24,6 +24,7 @@ from roofentropy import (
 )
 from roofentropy.jsonio import roof_result_to_json, round_floats
 from roofentropy.roof import (
+    FD_STEP,
     OBJECTIVE_BATCH,
     _Evaluator,
     _fd_gradient,
@@ -33,6 +34,7 @@ from roofentropy.roof import (
 )
 from roofentropy.sampling import ginibre_density, haar_unitary
 from roofentropy.states import DEFAULT_TOL, _xlnx
+from roofentropy.verify import run_verify
 
 from conftest import FAST
 
@@ -59,6 +61,31 @@ class TestSolverConfig:
     def test_max_iters_positive(self):
         with pytest.raises(ValidationError):
             SolverConfig(max_iters=0)
+
+    def test_negative_seed_rejected(self):
+        # np.random.default_rng raises a bare ValueError on a negative seed.
+        with pytest.raises(ValidationError, match="seed"):
+            SolverConfig(seed=-3)
+        with pytest.raises(ValidationError, match="seed"):
+            run_verify(seed=-1)
+
+    @pytest.mark.parametrize("name", ["step_tol", "value_tol"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, -1e-9, "1e-9", True])
+    def test_tolerances_finite_and_non_negative(self, name, value):
+        # value_tol=inf would stop every restart after two iterations as
+        # "converged".
+        with pytest.raises(ValidationError, match=name):
+            SolverConfig(**{name: value})
+
+    @pytest.mark.parametrize("name", ["restarts", "max_iters", "max_length", "seed"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, "3", True])
+    def test_counts_must_be_integers(self, name, value):
+        with pytest.raises(ValidationError, match=name):
+            SolverConfig(**{name: value})
+
+    def test_zero_tolerances_and_numpy_integers_accepted(self):
+        cfg = SolverConfig(restarts=np.int64(3), max_length=np.int32(4), step_tol=0, value_tol=0.0)
+        assert (cfg.restarts, cfg.max_length) == (3, 4)
 
 
 class TestDecompositionFromIsometry:
@@ -309,6 +336,112 @@ class TestLockstepRestarts:
                       SolverConfig(restarts=3, max_iters=50))
         assert res.restart_values == (0.0, 0.0, 0.0)
         assert (res.best_restart, res.converged, res.iterations) == (0, True, 1)
+
+
+def _xlnx_reference(x):
+    """The allocating -x ln x that the in-place ``_xlnx`` replaced."""
+    x = np.maximum(np.asarray(x, dtype=float), 0.0)
+    return -x * np.log(np.where(x > 0.0, x, 1.0))
+
+
+def _fd_gradient_reference(ev, v, f0):
+    """Gather-and-bump forward differences, building fresh copies per chunk."""
+    k, m, r = v.shape
+    count = m * r
+    flat = v.reshape(k, count)
+    span = 2 * count
+    total = span * k
+    chunk = OBJECTIVE_BATCH // span * span or OBJECTIVE_BATCH
+    values = np.empty(total)
+    for at in range(0, total, chunk):
+        own, col = np.divmod(np.arange(at, min(at + chunk, total)), span)
+        batch = flat[own]
+        batch[np.arange(own.size), col % count] += np.where(col < count, FD_STEP, 1j * FD_STEP)
+        values[at : at + own.size] = ev.objective_many(_retract(batch.reshape(-1, m, r)))
+    g = (values.reshape(k, span) - f0[:, None]) / FD_STEP
+    return (g[:, :count] + 1j * g[:, count:]).reshape(k, m, r)
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+class TestWorkBuffers:
+    """The evaluator reuses its work arrays; results must not notice."""
+
+    def test_reused_evaluator_matches_fresh(self, rng):
+        # Norm blocks only; a two-term block (closed form); a three-term
+        # block (eigvalsh) beside a two-term one.
+        pair, mixed = gram_channels(rng)
+        norm_only = pinching([np.diag([1.0, 1, 0, 0]), np.diag([0.0, 0, 1, 1])])
+        for channel, pairs, grams in ((norm_only, 0, 0), (pair, 1, 0), (mixed, 1, 1)):
+            n = channel.input_dim
+            rho = ginibre_density(n, rng)
+            ev = _Evaluator(rho, channel, DEFAULT_TOL)
+            assert (len(ev.pair_specs), len(ev.gram_specs)) == (pairs, grams)
+            stacks, results = [], []
+            for batch in (500, 3, 500):
+                shape = (batch, n * n, ev.rank)
+                stacks.append(_retract(rng.normal(size=shape) + 1j * rng.normal(size=shape)))
+                results.append(ev.objective_many(stacks[-1]))
+            for v, got in zip(stacks, results):
+                fresh = _Evaluator(rho, channel, DEFAULT_TOL).objective_many(v)
+                assert np.array_equal(got, fresh)
+
+    def test_xlnx_bit_exact(self, rng):
+        tiny = np.finfo(float).tiny
+        special = [0.0, -0.0, -1.0, -tiny / 4, tiny / 4, 5e-324, tiny, 1.0, 0.5, 1e300, -1e300]
+        # Odd lengths reach the vector loops' remainders.
+        for x in (np.array(special), rng.uniform(-0.2, 1.0, 37),
+                  rng.uniform(0.0, 1.0, (5, 7, 3)) ** 40):
+            keep = x.copy()
+            expected = bits(_xlnx_reference(x))
+            assert np.array_equal(bits(_xlnx(x)), expected)
+            assert np.array_equal(bits(x), bits(keep))
+            out, scratch = np.empty_like(x), np.empty_like(x)
+            assert np.array_equal(bits(_xlnx(x, out=out, scratch=scratch)), expected)
+            assert np.array_equal(bits(x), bits(keep))
+            assert np.array_equal(bits(_xlnx(x, out=x)), expected)
+
+    @pytest.mark.parametrize("length", [25, 60])
+    def test_fd_gradient_matches_reference(self, rng, length):
+        # 60 rows at rank 5 give 600 copies per restart, so one restart is
+        # split across chunks.  -0.0 entries must keep their sign in every
+        # copy where they are not bumped: in restart 0 the first entry of
+        # the first column is -0.0, whose sign picks QR's first reflector.
+        rho = ginibre_density(5, rng)
+        channel = pinching([np.diag([1.0, 1, 0, 0, 0]), np.diag([0.0, 0, 1, 1, 0]),
+                            np.diag([0.0, 0, 0, 0, 1])])
+        ev = _Evaluator(rho, channel, DEFAULT_TOL)
+        v = _retract(np.stack(_start_isometries(length, 5, SolverConfig(restarts=3))))
+        g = rng.normal(size=(length, 5)) + 1j * rng.normal(size=(length, 5))
+        g[0, 0] = 0.0
+        v[0] = _retract(g)
+        v[0, 0, 0] = complex(-0.0, -0.0)
+        v[1].imag[v[1].imag == 0.0] = -0.0
+        assert np.signbit(v[0, 0, 0].real) and np.signbit(v[0, 0, 0].imag)
+        f0 = ev.objective_many(v)
+        expected = _fd_gradient_reference(_Evaluator(rho, channel, DEFAULT_TOL), v, f0)
+        assert np.array_equal(_fd_gradient(ev, v, f0), expected)
+        assert np.array_equal(_fd_gradient(ev, v[1:], f0[1:]), expected[1:])
+
+    def test_retract_leaves_input_and_fixes_isometries(self, rng):
+        a = rng.normal(size=(6, 9, 3)) + 1j * rng.normal(size=(6, 9, 3))
+        a[0, 0] = -0.0
+        keep = a.copy()
+        q = _retract(a)
+        assert np.array_equal(bits(a), bits(keep))
+        assert np.allclose(_retract(q), q, atol=1e-14)
+        eye = np.eye(3)
+        assert np.allclose(q.conj().transpose(0, 2, 1) @ q, eye, atol=1e-13)
+
+    def test_solves_in_one_process_repeat_bytes(self, rng):
+        rho3, rho4 = ginibre_density(3, rng), ginibre_density(4, rng)
+        cfg = SolverConfig(restarts=3, max_iters=20)
+        enc = lambda r: json.dumps(roof_result_to_json(r), sort_keys=True)
+        first = enc(solve_R(rho3, diagonal_pinching(3), cfg))
+        solve_R(rho4, diagonal_pinching(4), cfg)
+        assert enc(solve_R(rho3, diagonal_pinching(3), cfg)) == first
 
 
 class TestAffinityCertificate:
