@@ -22,6 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .channels import (
+    COMPLETENESS_TOL,
     ReductionChannel,
     commutative_channel,
     _validate_projections,
@@ -34,11 +35,10 @@ from .states import (
     DensityOperator,
     Tolerances,
     ValidationError,
-    _as_square_matrix,
-    _coerce_density,
+    _checked_psd,
+    _coerce,
     _xlnx,
     canonical_eigh,
-    hermiticity_defect,
     von_neumann_entropy,
 )
 
@@ -53,7 +53,6 @@ __all__ = [
     "holevo_check",
 ]
 
-COMPLETENESS_TOL = 1e-10
 EIG_CUTOFF = 1e-14
 MEASUREMENT_BATCH = 256  # most measurements evaluated in one _mutual_info_many call
 
@@ -66,21 +65,7 @@ class Measurement:
     tol: dataclasses.InitVar[Tolerances] = DEFAULT_TOL
 
     def __post_init__(self, tol: Tolerances):
-        mats = []
-        for i, e in enumerate(self.outcomes):
-            try:
-                m = _as_square_matrix(e)
-            except ValidationError as exc:
-                raise ValidationError(f"outcome {i}: {exc}") from None
-            herm = hermiticity_defect(m)
-            if herm > tol.herm:
-                raise ValidationError(f"outcome {i} not Hermitian: defect {herm:.3e}")
-            m = 0.5 * (m + m.conj().T)
-            lo = float(np.linalg.eigvalsh(m)[0])
-            if lo < -tol.psd:
-                raise ValidationError(f"outcome {i} has negative eigenvalue {lo:.3e}")
-            m.setflags(write=False)
-            mats.append(m)
+        mats = [_checked_psd(e, tol, f"outcome {i}")[0] for i, e in enumerate(self.outcomes)]
         if not mats:
             raise ValidationError("measurement needs at least one outcome")
         n = mats[0].shape[0]
@@ -113,7 +98,7 @@ def ensemble_from_subalgebra(
     ``sqrt(rho) Q_j sqrt(rho) / p_j``; zero-weight outcomes are dropped.
     The mixture of the ensemble is ``rho`` itself.
     """
-    rho = _coerce_density(rho)
+    rho = _coerce(rho, DensityOperator, tol)
     mats, n = _validate_projections(projections)
     if n != rho.dim:
         raise ValidationError(f"projection dimension {n} != state dimension {rho.dim}")
@@ -239,7 +224,7 @@ def benatti_bracket(
         raise ValidationError(
             f"measurement_samples must be >= 0, got {measurement_samples}"
         )
-    rho = _coerce_density(rho)
+    rho = _coerce(rho, DensityOperator, tol)
     cfg = config if config is not None else SolverConfig()
     ensemble = ensemble_from_subalgebra(rho, projections, tol)
     channel = commutative_channel(projections)
@@ -296,7 +281,7 @@ def holevo_check(
     ``roof`` reuses a solve of the same instance, such as
     ``BenattiBracket.roof``; without it the roof is solved here.
     """
-    rho = _coerce_density(rho)
+    rho = _coerce(rho, DensityOperator, tol)
     if roof is None:
         cfg = config if config is not None else SolverConfig()
         roof = solve_R(rho, commutative_channel(projections), cfg, tol)

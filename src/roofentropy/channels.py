@@ -21,10 +21,11 @@ from .states import (
     PureState,
     Tolerances,
     ValidationError,
-    _as_square_matrix,
-    _coerce_density,
+    _checked_psd,
+    _coerce,
     canonical_eigh,
     entropy_of_spectrum,
+    hermiticity_defect,
 )
 
 __all__ = [
@@ -117,27 +118,20 @@ class BlockDensity:
 
     blocks: tuple
     tol: dataclasses.InitVar[Tolerances] = DEFAULT_TOL
+    # ascending eigenvalues of each block, computed once by the validation
+    _spectra: tuple = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self, tol: Tolerances):
-        mats = []
-        total = 0.0
-        for blk in self.blocks:
-            m = _as_square_matrix(blk)
-            defect = float(np.max(np.abs(m - m.conj().T)))
-            if defect > tol.herm:
-                raise ValidationError(f"block not Hermitian: asymmetry {defect:.3e}")
-            m = 0.5 * (m + m.conj().T)
-            lo = float(np.linalg.eigvalsh(m)[0])
-            if lo < -tol.psd:
-                raise ValidationError(f"block has negative eigenvalue {lo:.3e}")
-            total += float(np.trace(m).real)
-            m.setflags(write=False)
-            mats.append(m)
-        if not mats:
+        checked = [_checked_psd(blk, tol, f"block {b}") for b, blk in enumerate(self.blocks)]
+        if not checked:
             raise ValidationError("block density needs at least one block")
+        total = 0.0
+        for m, _ in checked:
+            total += float(np.trace(m).real)
         if abs(total - 1.0) > tol.trace:
             raise ValidationError(f"block traces sum to {total!r}, expected 1")
-        object.__setattr__(self, "blocks", tuple(mats))
+        object.__setattr__(self, "blocks", tuple(m for m, _ in checked))
+        object.__setattr__(self, "_spectra", tuple(w for _, w in checked))
 
     @property
     def block_dims(self) -> tuple:
@@ -161,7 +155,7 @@ class BlockDensity:
 
 def reduce_state(channel: ReductionChannel, rho, tol: Tolerances = DEFAULT_TOL) -> BlockDensity:
     """Apply the channel: block ``b`` is ``sum_{i tagged b} K_i rho K_i^dag``."""
-    rho = _coerce_density(rho)
+    rho = _coerce(rho, DensityOperator, tol)
     if rho.dim != channel.input_dim:
         raise ValidationError(f"state dimension {rho.dim} != channel input {channel.input_dim}")
     blocks = [np.zeros((d, d), dtype=complex) for d in channel.block_dims]
@@ -173,8 +167,8 @@ def reduce_state(channel: ReductionChannel, rho, tol: Tolerances = DEFAULT_TOL) 
 def block_entropy(bd: BlockDensity, tol: Tolerances = DEFAULT_TOL) -> float:
     """Entropy of the block density: sum over blocks of Tr s(block)."""
     total = 0.0
-    for blk in bd.blocks:
-        total += entropy_of_spectrum(np.linalg.eigvalsh(blk), tol)
+    for w in bd._spectra:
+        total += entropy_of_spectrum(w, tol)
     return total
 
 
@@ -210,7 +204,7 @@ def _validate_projections(projections: Sequence[np.ndarray], dim_hint=None):
         defect = float(np.max(np.abs(p @ p - p)))
         if defect > ORTHOGONALITY_TOL:
             raise ValidationError(f"projection {j} is not idempotent: defect {defect:.3e}")
-        herm = float(np.max(np.abs(p - p.conj().T)))
+        herm = hermiticity_defect(p)
         if herm > ORTHOGONALITY_TOL:
             raise ValidationError(f"projection {j} is not Hermitian: defect {herm:.3e}")
     for j in range(len(mats)):
@@ -258,8 +252,7 @@ def block_compression(psi: PureState) -> ReductionChannel:
     overlap with ``psi``.  The complement basis follows the deterministic
     eigenbasis convention of :func:`roofentropy.states.canonical_eigh`.
     """
-    if not isinstance(psi, PureState):
-        psi = PureState(np.asarray(psi, dtype=complex))
+    psi = _coerce(psi, PureState, DEFAULT_TOL)
     n1 = psi.dim
     if n1 < 2:
         raise ValidationError("block compression needs input dimension >= 2")

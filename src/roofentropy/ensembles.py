@@ -14,6 +14,7 @@ from .states import (
     PureState,
     Tolerances,
     ValidationError,
+    _coerce,
     relative_entropy,
 )
 
@@ -42,9 +43,7 @@ class Ensemble:
         total = float(w.sum())
         if abs(total - 1.0) > tol.trace:
             raise ValidationError(f"weights sum to {total!r}, expected 1")
-        states = tuple(
-            s if isinstance(s, DensityOperator) else DensityOperator(s) for s in self.states
-        )
+        states = tuple(_coerce(s, DensityOperator, tol) for s in self.states)
         dims = {s.dim for s in states}
         if len(dims) != 1:
             raise ValidationError(f"mixed member dimensions {sorted(dims)}")
@@ -64,10 +63,9 @@ class Ensemble:
         return zip(self.weights.tolist(), self.states)
 
 
-def pure_ensemble(weights, vectors: Sequence[np.ndarray]) -> Ensemble:
+def pure_ensemble(weights, vectors: Sequence[np.ndarray], tol: Tolerances = DEFAULT_TOL) -> Ensemble:
     """Ensemble of rank-one projections built from unit vectors."""
-    states = tuple(PureState(np.asarray(v, dtype=complex)).density() for v in vectors)
-    return Ensemble(np.asarray(weights, dtype=float), states)
+    return Ensemble(weights, tuple(PureState(v, tol).density() for v in vectors), tol)
 
 
 def convex_sum(ensemble: Ensemble) -> DensityOperator:
@@ -80,11 +78,7 @@ def convex_sum(ensemble: Ensemble) -> DensityOperator:
     return DensityOperator(total)
 
 
-def shorten(
-    ensemble: Ensemble,
-    weight_cutoff: float = WEIGHT_CUTOFF,
-    merge_tol: float = MERGE_TOL,
-) -> Ensemble:
+def shorten(ensemble: Ensemble, tol: Tolerances = DEFAULT_TOL) -> Ensemble:
     """Drop negligible members and merge duplicates by adding weights.
 
     Keeps the convex sum unchanged to well below validation tolerances; the
@@ -93,10 +87,10 @@ def shorten(
     kept_w: list[float] = []
     kept_s: list[DensityOperator] = []
     for p, rho in ensemble.members():
-        if p <= weight_cutoff:
+        if p <= WEIGHT_CUTOFF:
             continue
         for i, other in enumerate(kept_s):
-            if float(np.max(np.abs(rho.matrix - other.matrix))) <= merge_tol:
+            if float(np.max(np.abs(rho.matrix - other.matrix))) <= MERGE_TOL:
                 kept_w[i] += p
                 break
         else:
@@ -104,7 +98,7 @@ def shorten(
             kept_s.append(rho)
     if not kept_s:
         raise ValidationError("all members fell below the weight cutoff")
-    return Ensemble(np.array(kept_w), tuple(kept_s))
+    return Ensemble(np.array(kept_w), tuple(kept_s), tol)
 
 
 def mutual_entropy(ensemble: Ensemble, channel: ReductionChannel, form: str = "holevo") -> float:

@@ -21,7 +21,7 @@ from .states import (
     PureState,
     Tolerances,
     ValidationError,
-    _coerce_density,
+    _coerce,
     binary_entropy,
     canonical_eigh,
 )
@@ -120,9 +120,8 @@ def block_example_analyze(
     eigendirection and the defining identities of ``mu_plus``/``mu_minus``
     when they exist.
     """
-    rho = _coerce_density(rho)
-    if not isinstance(psi, PureState):
-        psi = PureState(np.asarray(psi, dtype=complex))
+    rho = _coerce(rho, DensityOperator, tol)
+    psi = _coerce(psi, PureState, tol)
     if rho.dim != psi.dim:
         raise ValidationError(f"dimension mismatch: state {rho.dim} vs vector {psi.dim}")
     n1 = rho.dim
@@ -202,7 +201,7 @@ def block_example_decomposition(
     the linear system for the weights leaves the simplex or the rebuilt
     mixture misses the state (construction failure).
     """
-    rho = _coerce_density(rho)
+    rho = _coerce(rho, DensityOperator, tol)
     if math.isnan(data.mu_plus):
         raise ValidationError(f"z = {data.z!r} exceeds 1/2: no real mixing weights exist")
     psi = data.psi.vector

@@ -20,14 +20,15 @@ import numbers
 import numpy as np
 
 from .channels import ReductionChannel, block_entropy, reduce_state
-from .ensembles import Ensemble, pure_ensemble, shorten
+from .ensembles import WEIGHT_CUTOFF, Ensemble, pure_ensemble, shorten
 from .states import (
     DEFAULT_TOL,
     DensityOperator,
     Tolerances,
     ValidationError,
     canonical_eigh,
-    _coerce_density,
+    _coerce,
+    _require_finite_nonnegative,
     _xlnx,
 )
 
@@ -81,10 +82,7 @@ class SolverConfig:
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValidationError(f"{name} must be an integer, got {value!r}")
         for name in ("step_tol", "value_tol"):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not (math.isfinite(value) and value >= 0)):
-                raise ValidationError(f"{name} must be finite and >= 0, got {value!r}")
+            _require_finite_nonnegative(name, getattr(self, name))
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.restarts < 1:
@@ -124,16 +122,15 @@ def decomposition_from_isometry(
     rho: DensityOperator,
     isometry: np.ndarray,
     tol: Tolerances = DEFAULT_TOL,
-    weight_cutoff: float = 1e-13,
 ) -> Ensemble:
     """Pure-state decomposition of ``rho`` indexed by a column isometry.
 
     Row ``j`` of the isometry mixes the scaled eigenvectors of ``rho`` into
     the unnormalized vector whose norm squared is the member weight.  The
     isometry must have exactly ``rank(rho)`` orthonormal columns; members
-    with weight at or below ``weight_cutoff`` are dropped.
+    with weight at or below ``ensembles.WEIGHT_CUTOFF`` are dropped.
     """
-    rho = _coerce_density(rho)
+    rho = _coerce(rho, DensityOperator, tol)
     v = np.asarray(isometry, dtype=complex)
     if v.ndim != 2:
         raise ValidationError(f"isometry must be a matrix, got shape {v.shape}")
@@ -149,10 +146,10 @@ def decomposition_from_isometry(
         raise ValidationError(f"need at least rank many rows, got {m} < {r}")
     phis = v @ (vecs * np.sqrt(lam)).T  # row j is the j-th unnormalized vector
     weights = np.einsum("jk,jk->j", phis, phis.conj()).real
-    kept = [(p, phis[j] / math.sqrt(p)) for j, p in enumerate(weights) if p > weight_cutoff]
+    kept = [(p, phis[j] / math.sqrt(p)) for j, p in enumerate(weights) if p > WEIGHT_CUTOFF]
     if not kept:
         raise ValidationError("every member fell below the weight cutoff")
-    return pure_ensemble([p for p, _ in kept], [u for _, u in kept])
+    return pure_ensemble([p for p, _ in kept], [u for _, u in kept], tol)
 
 
 def roof_objective(ensemble: Ensemble, channel: ReductionChannel) -> float:
@@ -247,7 +244,7 @@ class _Evaluator:
         self.gram_specs = gram_specs
         stacked = norm_rows + gram_rows
         self.kraus_t = np.vstack(stacked).T.copy() if stacked else None
-        self.reduced_entropy = block_entropy(reduce_state(channel, rho))
+        self.reduced_entropy = block_entropy(reduce_state(channel, rho, tol), tol)
         self._buffers: dict[str, np.ndarray] = {}
 
     def work(self, name: str, shape: tuple, dtype=float) -> np.ndarray:
@@ -458,7 +455,7 @@ def solve_R(
     if isinstance(trace, str):
         with open(trace, "w", encoding="utf-8") as fh:
             return solve_R(rho, channel, config, tol, trace=fh)
-    rho = _coerce_density(rho)
+    rho = _coerce(rho, DensityOperator, tol)
     cfg = config if config is not None else SolverConfig()
     if rho.dim != channel.input_dim:
         raise ValidationError(f"state dimension {rho.dim} != channel input {channel.input_dim}")
@@ -483,7 +480,7 @@ def solve_R(
                 + "\n"
             )
     best = min(range(cfg.restarts), key=values.__getitem__)
-    ensemble = shorten(decomposition_from_isometry(rho, isometries[best], tol))
+    ensemble = shorten(decomposition_from_isometry(rho, isometries[best], tol), tol)
     return RoofResult(
         value_R=values[best],
         value_H=ev.reduced_entropy - values[best],
@@ -583,7 +580,7 @@ def zero_entropy_structure(
         raise ValidationError(
             f"zero-entropy structure needs value_H <= 1e-6, got {result.value_H:.3e}"
         )
-    rho = _coerce_density(rho)
+    rho = _coerce(rho, DensityOperator, tol)
     lam, vecs = _clean_rank(rho, tol)
     per_block: dict[int, list[np.ndarray]] = {}
     for b, k in channel.kraus:

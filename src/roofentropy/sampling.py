@@ -18,7 +18,6 @@ __all__ = [
     "random_pinching",
     "random_commutative",
     "random_ensemble",
-    "random_basis_measurement_basis",
 ]
 
 
@@ -89,8 +88,3 @@ def random_ensemble(dim: int, size: int, rng: np.random.Generator) -> Ensemble:
     weights = rng.dirichlet(np.ones(size))
     states = tuple(ginibre_density(dim, rng) for _ in range(size))
     return Ensemble(weights, states)
-
-
-def random_basis_measurement_basis(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Unitary whose columns define a rank-one projective measurement."""
-    return haar_unitary(dim, rng)

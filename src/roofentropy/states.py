@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 
 import numpy as np
 
@@ -28,11 +29,16 @@ __all__ = [
     "binary_entropy",
 ]
 
-LN2 = math.log(2.0)
-
 
 class ValidationError(ValueError):
     """An input failed one of its structural invariants."""
+
+
+def _require_finite_nonnegative(label: str, value) -> None:
+    """Reject anything but a finite real ``value >= 0``; bools are rejected too."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (math.isfinite(value) and value >= 0)):
+        raise ValidationError(f"{label} must be finite and >= 0, got {value!r}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -62,23 +68,62 @@ class Tolerances:
     psd: float = 1e-9
     support: float = 1e-10
 
+    def __post_init__(self):
+        for field in dataclasses.fields(self):
+            _require_finite_nonnegative(f"tolerance {field.name}", getattr(self, field.name))
+
 
 DEFAULT_TOL = Tolerances()
 
 
-def _as_square_matrix(m) -> np.ndarray:
+def _as_square_matrix(m, subject: str = "matrix") -> np.ndarray:
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValidationError(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise ValidationError(f"{subject}: expected a nonempty square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
-        raise ValidationError("matrix has non-finite entries")
+        raise ValidationError(f"{subject}: non-finite entries")
     return a
 
 
 def hermiticity_defect(m) -> float:
     """Max-entry distance between ``m`` and its conjugate transpose."""
     a = _as_square_matrix(m)
-    return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
+    return float(np.max(np.abs(a - a.conj().T)))
+
+
+def _checked_hermitian(m, tol: Tolerances, subject: str) -> np.ndarray:
+    """Hermitized copy of a finite nonempty square matrix within ``tol.herm``.
+
+    ``subject`` names the matrix in error messages, e.g. ``"block 2"``.
+    """
+    a = _as_square_matrix(m, subject)
+    defect = hermiticity_defect(a)
+    if defect > tol.herm:
+        raise ValidationError(
+            f"{subject} not Hermitian: max asymmetry {defect:.3e} exceeds {tol.herm:.3e}"
+        )
+    return 0.5 * (a + a.conj().T)
+
+
+def _checked_psd(m, tol: Tolerances, subject: str, unit_trace: bool = False):
+    """The one validation path of every operator the package accepts.
+
+    Runs `_checked_hermitian`, then (with ``unit_trace``) the trace check,
+    then the positivity check on the ascending spectrum.  Returns the
+    read-only hermitized matrix and that spectrum.
+    """
+    a = _checked_hermitian(m, tol, subject)
+    if unit_trace:
+        tr = float(np.trace(a).real)
+        if abs(tr - 1.0) > tol.trace:
+            raise ValidationError(f"{subject} trace {tr!r} deviates from 1 beyond {tol.trace:.3e}")
+    w = np.linalg.eigvalsh(a)
+    lo = float(w[0])
+    if lo < -tol.psd:
+        raise ValidationError(f"{subject} has negative eigenvalue {lo:.3e} below -{tol.psd:.3e}")
+    a.setflags(write=False)
+    w.setflags(write=False)
+    return a, w
 
 
 def eigh(m, tol: Tolerances = DEFAULT_TOL):
@@ -87,7 +132,7 @@ def eigh(m, tol: Tolerances = DEFAULT_TOL):
     Parameters
     ----------
     m : array_like
-        Square matrix; rejected if its hermiticity defect exceeds
+        Nonempty square matrix; rejected if its hermiticity defect exceeds
         ``tol.herm``.
 
     Returns
@@ -96,15 +141,7 @@ def eigh(m, tol: Tolerances = DEFAULT_TOL):
         Real eigenvalues in ascending order and the matrix whose columns are
         the corresponding orthonormal eigenvectors.
     """
-    a = _as_square_matrix(m)
-    defect = hermiticity_defect(a)
-    if defect > tol.herm:
-        raise ValidationError(
-            f"matrix is not Hermitian: max asymmetry {defect:.3e} exceeds {tol.herm:.3e}"
-        )
-    a = 0.5 * (a + a.conj().T)
-    w, v = np.linalg.eigh(a)
-    return w, v
+    return np.linalg.eigh(_checked_hermitian(m, tol, "matrix"))
 
 
 def _fix_eigenvector_phases(v: np.ndarray) -> np.ndarray:
@@ -164,32 +201,21 @@ class DensityOperator:
 
     matrix: np.ndarray
     tol: dataclasses.InitVar[Tolerances] = DEFAULT_TOL
+    # ascending eigenvalues of ``matrix``, computed once by the validation
+    _spectrum: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self, tol: Tolerances):
-        m = _as_square_matrix(self.matrix)
-        defect = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-        if defect > tol.herm:
-            raise ValidationError(
-                f"density matrix not Hermitian: max asymmetry {defect:.3e} exceeds {tol.herm:.3e}"
-            )
-        m = 0.5 * (m + m.conj().T)
-        tr = float(np.trace(m).real)
-        if abs(tr - 1.0) > tol.trace:
-            raise ValidationError(f"density matrix trace {tr!r} deviates from 1 beyond {tol.trace:.3e}")
-        lo = float(np.linalg.eigvalsh(m)[0])
-        if lo < -tol.psd:
-            raise ValidationError(f"density matrix has negative eigenvalue {lo:.3e} below -{tol.psd:.3e}")
-        m.setflags(write=False)
+        m, w = _checked_psd(self.matrix, tol, "density matrix", unit_trace=True)
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "_spectrum", w)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def spectrum(self, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    def spectrum(self) -> np.ndarray:
         """Eigenvalues in ascending order, small negatives clipped to zero."""
-        w = np.linalg.eigvalsh(self.matrix)
-        return np.where(w < 0.0, 0.0, w)
+        return np.where(self._spectrum < 0.0, 0.0, self._spectrum)
 
     def purity(self) -> float:
         return float(np.trace(self.matrix @ self.matrix).real)
@@ -258,8 +284,13 @@ def shannon_entropy(probabilities) -> float:
     return float(np.sum(_xlnx(np.asarray(probabilities, dtype=float))))
 
 
-def _coerce_density(rho) -> DensityOperator:
-    return rho if isinstance(rho, DensityOperator) else DensityOperator(rho)
+def _coerce(value, cls, tol: Tolerances):
+    """``value`` if it is already a ``cls``, else ``cls(value, tol)``.
+
+    ``cls`` is :class:`DensityOperator` or :class:`PureState`; a raw array is
+    validated under the caller's tolerances.
+    """
+    return value if isinstance(value, cls) else cls(value, tol)
 
 
 def von_neumann_entropy(rho, tol: Tolerances = DEFAULT_TOL) -> float:
@@ -267,8 +298,7 @@ def von_neumann_entropy(rho, tol: Tolerances = DEFAULT_TOL) -> float:
 
     Lies in ``[0, ln dim]`` up to roundoff for any valid density operator.
     """
-    rho = _coerce_density(rho)
-    return entropy_of_spectrum(np.linalg.eigvalsh(rho.matrix), tol)
+    return entropy_of_spectrum(_coerce(rho, DensityOperator, tol)._spectrum, tol)
 
 
 def relative_entropy(rho, sigma, tol: Tolerances = DEFAULT_TOL) -> float:
@@ -279,8 +309,8 @@ def relative_entropy(rho, sigma, tol: Tolerances = DEFAULT_TOL) -> float:
     ``tol.support`` that carry more than ``tol.support`` of ``rho``-weight
     trigger the infinite branch.
     """
-    rho = _coerce_density(rho)
-    sigma = _coerce_density(sigma)
+    rho = _coerce(rho, DensityOperator, tol)
+    sigma = _coerce(sigma, DensityOperator, tol)
     if rho.dim != sigma.dim:
         raise ValidationError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
     w, v = canonical_eigh(sigma.matrix, tol)

@@ -7,6 +7,7 @@ single multiplier; the defaults keep the whole suite interactive.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -153,8 +154,8 @@ def _check_reduction_blocks(rng, n, cfg):
         dim = int(rng.integers(2, 5))
         bd = reduce_state(_random_channel(dim, rng), ginibre_density(dim, rng))
         worst_trace = max(worst_trace, abs(float(sum(bd.probabilities())) - 1.0))
-        for blk in bd.blocks:
-            worst_eig = min(worst_eig, float(np.linalg.eigvalsh(blk)[0]))
+        for w in bd._spectra:
+            worst_eig = min(worst_eig, float(w[0]))
     return worst_trace <= 1e-10 and worst_eig >= -1e-12, {
         "max_trace_defect": worst_trace,
         "min_block_eigenvalue": worst_eig,
@@ -472,11 +473,7 @@ def run_verify(seed: int = 0, samples: int = 1, solver: SolverConfig | None = No
         raise ValidationError(f"samples must be >= 1, got {samples}")
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
-    cfg = solver if solver is not None else SolverConfig(
-        restarts=VERIFY_SOLVER.restarts,
-        max_iters=VERIFY_SOLVER.max_iters,
-        seed=seed,
-    )
+    cfg = solver if solver is not None else dataclasses.replace(VERIFY_SOLVER, seed=seed)
     results = []
     failed = 0
     for index, (name, fn) in enumerate(CHECKS):
@@ -488,14 +485,7 @@ def run_verify(seed: int = 0, samples: int = 1, solver: SolverConfig | None = No
     return {
         "seed": seed,
         "samples": samples,
-        "solver": {
-            "restarts": cfg.restarts,
-            "max_iters": cfg.max_iters,
-            "max_length": cfg.max_length,
-            "seed": cfg.seed,
-            "step_tol": cfg.step_tol,
-            "value_tol": cfg.value_tol,
-        },
+        "solver": dataclasses.asdict(cfg),
         "checks": results,
         "counts": {
             "total": len(results),

@@ -5,18 +5,71 @@ import pytest
 from hypothesis import given, strategies as st
 
 from roofentropy import (
+    BlockDensity,
     DensityOperator,
+    Measurement,
     PureState,
+    SolverConfig,
     Tolerances,
     ValidationError,
     binary_entropy,
+    block_entropy,
+    diagonal_pinching,
+    reduce_state,
     relative_entropy,
     shannon_entropy,
+    solve_R,
     von_neumann_entropy,
 )
-from roofentropy.states import canonical_eigh, eigh, entropy_of_spectrum
+from roofentropy.sampling import ginibre_density, random_pinching
+from roofentropy.states import DEFAULT_TOL, canonical_eigh, eigh, entropy_of_spectrum
 
 LN2 = 0.6931471805599453
+LOOSE = Tolerances(herm=1e-3, trace=1e-3, norm=1e-3, psd=1e-3, support=1e-4)
+
+
+class TestTolerances:
+    def test_default_and_loose_build(self):
+        assert Tolerances() == DEFAULT_TOL
+        assert LOOSE.herm == 1e-3
+        Tolerances(herm=0.0, trace=np.float64(1e-6))
+
+    @pytest.mark.parametrize("field", ["herm", "trace", "norm", "psd", "support"])
+    def test_rejects_non_finite_negative_and_bool(self, field):
+        for bad in (math.nan, math.inf, -1e-9, True):
+            with pytest.raises(ValidationError, match=f"tolerance {field} must be finite"):
+                Tolerances(**{field: bad})
+
+
+# One malformed input per check, fed to every operator that validates.
+MALFORMED = {
+    "non-square": (np.ones((1, 2)), "square"),
+    "nan": (np.array([[np.nan, 0.0], [0.0, 1.0]]), "non-finite"),
+    "non-hermitian": (np.array([[0.5, 0.3], [0.1, 0.5]]), "not Hermitian"),
+    "negative": (np.diag([1.5, -0.5]), "negative eigenvalue"),
+    "empty": (np.zeros((0, 0)), "nonempty"),
+}
+OPERATORS = {
+    "density matrix": DensityOperator,
+    "block 0": lambda m: BlockDensity((m,)),
+    "outcome 0": lambda m: Measurement((m,)),
+    "matrix": eigh,
+}
+
+
+@pytest.mark.parametrize(
+    "subject, case",
+    [
+        (subject, case)
+        for subject in sorted(OPERATORS)
+        for case in sorted(MALFORMED)
+        if not (subject == "matrix" and case == "negative")  # eigh needs no positivity
+    ],
+)
+def test_malformed_operator_rejected_naming_subject(subject, case):
+    m, check = MALFORMED[case]
+    with pytest.raises(ValidationError, match=f"^{subject}\\b.*{check}"):
+        OPERATORS[subject](m)
 
 
 class TestDensityOperator:
@@ -53,8 +106,30 @@ class TestDensityOperator:
                 DensityOperator([[bad, 0.0], [0.0, 1.0]])
 
     def test_custom_tolerance_loosens_trace(self):
-        loose = Tolerances(herm=1e-3, trace=1e-3, norm=1e-3, psd=1e-3, support=1e-4)
-        DensityOperator([[0.5, 0], [0, 0.5004]], loose)
+        DensityOperator([[0.5, 0], [0, 0.5004]], LOOSE)
+
+    def test_caller_tolerance_governs_raw_matrices(self):
+        m = np.diag([0.5 + 5e-5, 0.5])
+        with pytest.raises(ValidationError, match="trace"):
+            von_neumann_entropy(m)
+        assert von_neumann_entropy(m, LOOSE) == pytest.approx(
+            entropy_of_spectrum([0.5, 0.5 + 5e-5]), abs=1e-15
+        )
+        assert relative_entropy(m, m, LOOSE) == pytest.approx(0.0, abs=1e-12)
+        ch = diagonal_pinching(2)
+        assert reduce_state(ch, m, LOOSE).probabilities() == pytest.approx([0.5 + 5e-5, 0.5])
+        res = solve_R(m, ch, SolverConfig(restarts=1, max_iters=5), LOOSE)
+        assert res.value_R == pytest.approx(0.0, abs=1e-12)
+
+    def test_entropies_reuse_validated_spectrum(self, rng):
+        rho = ginibre_density(4, rng)
+        assert von_neumann_entropy(rho) == entropy_of_spectrum(np.linalg.eigvalsh(rho.matrix))
+        assert np.array_equal(rho.spectrum(), np.maximum(np.linalg.eigvalsh(rho.matrix), 0.0))
+        bd = reduce_state(random_pinching(4, rng), rho)
+        fresh = 0.0
+        for blk in bd.blocks:
+            fresh += entropy_of_spectrum(np.linalg.eigvalsh(blk))
+        assert block_entropy(bd) == fresh
 
 
 class TestPureState:
