@@ -23,9 +23,9 @@ from .states import (
     ValidationError,
     _checked_psd,
     _coerce,
+    _max_asymmetry,
     canonical_eigh,
     entropy_of_spectrum,
-    hermiticity_defect,
 )
 
 __all__ = [
@@ -191,7 +191,7 @@ def diagonal_pinching(dim: int) -> ReductionChannel:
     return ReductionChannel(dim, (1,) * dim, terms)
 
 
-def _validate_projections(projections: Sequence[np.ndarray], dim_hint=None):
+def _validate_projections(projections: Sequence[np.ndarray]):
     mats = [np.asarray(p, dtype=complex) for p in projections]
     if not mats:
         raise ValidationError("need at least one projection")
@@ -204,7 +204,7 @@ def _validate_projections(projections: Sequence[np.ndarray], dim_hint=None):
         defect = float(np.max(np.abs(p @ p - p)))
         if defect > ORTHOGONALITY_TOL:
             raise ValidationError(f"projection {j} is not idempotent: defect {defect:.3e}")
-        herm = hermiticity_defect(p)
+        herm = _max_asymmetry(p)
         if herm > ORTHOGONALITY_TOL:
             raise ValidationError(f"projection {j} is not Hermitian: defect {herm:.3e}")
     for j in range(len(mats)):
@@ -228,20 +228,25 @@ def _range_basis(projection: np.ndarray) -> np.ndarray:
     return v[:, keep].conj().T
 
 
+def _range_bases(projections: Sequence[np.ndarray]):
+    """`_range_basis` of each validated projection, and their dimension.
+
+    A projection with an empty range is an error.
+    """
+    mats, n = _validate_projections(projections)
+    bases = [_range_basis(p) for p in mats]
+    for j, w in enumerate(bases):
+        if w.shape[0] == 0:
+            raise ValidationError(f"projection {j} has empty range")
+    return bases, n
+
+
 def pinching(projections: Sequence[np.ndarray]) -> ReductionChannel:
     """Channel compressing onto the block-diagonal algebra of a complete
     family of orthogonal projections; block ``j`` of the output is the
     compression onto the range of projection ``j``."""
-    mats, n = _validate_projections(projections)
-    dims = []
-    terms = []
-    for j, p in enumerate(mats):
-        w = _range_basis(p)
-        if w.shape[0] == 0:
-            raise ValidationError(f"projection {j} has empty range")
-        dims.append(w.shape[0])
-        terms.append((j, w))
-    return ReductionChannel(n, tuple(dims), tuple(terms))
+    bases, n = _range_bases(projections)
+    return ReductionChannel(n, tuple(w.shape[0] for w in bases), tuple(enumerate(bases)))
 
 
 def block_compression(psi: PureState) -> ReductionChannel:
@@ -271,12 +276,6 @@ def commutative_channel(projections: Sequence[np.ndarray]) -> ReductionChannel:
     reduction is ``Tr(Q_j rho)``; each orthonormal basis vector of the range
     of ``Q_j`` contributes one Kraus row tagged ``j``.
     """
-    mats, n = _validate_projections(projections)
-    terms = []
-    for j, p in enumerate(mats):
-        w = _range_basis(p)
-        if w.shape[0] == 0:
-            raise ValidationError(f"projection {j} has empty range")
-        for row in w:
-            terms.append((j, row[None, :]))
-    return ReductionChannel(n, (1,) * len(mats), tuple(terms))
+    bases, n = _range_bases(projections)
+    terms = tuple((j, row[None, :]) for j, w in enumerate(bases) for row in w)
+    return ReductionChannel(n, (1,) * len(bases), terms)

@@ -21,7 +21,7 @@ from typing import Mapping
 import numpy as np
 
 from .accinfo import benatti_bracket, holevo_check
-from .channels import block_entropy, reduce_state
+from .channels import block_compression, block_entropy, reduce_state
 from .ensembles import mutual_entropy
 from .jsonio import (
     block_density_to_json,
@@ -47,7 +47,7 @@ from .states import (
     ValidationError,
     von_neumann_entropy,
 )
-from .verify import run_verify
+from .verify import VERIFY_SOLVER, run_verify
 
 __all__ = ["JobSpec", "run", "main"]
 
@@ -83,15 +83,11 @@ class JobSpec:
             support=0.1 * self.tol,
         )
 
-    def solver_config(self) -> SolverConfig:
-        kwargs: dict = {"seed": self.seed}
-        if self.restarts is not None:
-            kwargs["restarts"] = self.restarts
-        if self.max_iters is not None:
-            kwargs["max_iters"] = self.max_iters
-        if self.max_length is not None:
-            kwargs["max_length"] = self.max_length
-        return SolverConfig(**kwargs)
+    def solver_config(self, base: SolverConfig = SolverConfig()) -> SolverConfig:
+        """``base`` with the seed and each solver flag that was given."""
+        given = {name: getattr(self, name) for name in ("restarts", "max_iters", "max_length")
+                 if getattr(self, name) is not None}
+        return dataclasses.replace(base, seed=self.seed, **given)
 
 
 def _load_json(raw: str, what: str):
@@ -241,8 +237,6 @@ def _cmd_block_oracle(job: JobSpec) -> dict:
         "ensemble": ensemble_to_json(decomposition.ensemble),
     }
     if job.solve:
-        from .channels import block_compression
-
         result = solve_R(rho, block_compression(psi), job.solver_config(), tol)
         report["solver"] = {
             "value_R": result.value_R,
@@ -286,10 +280,7 @@ def _cmd_accinfo(job: JobSpec) -> dict:
 
 def _cmd_verify(job: JobSpec) -> dict:
     samples = 1 if job.samples is None else job.samples
-    solver = None
-    if job.restarts is not None or job.max_iters is not None or job.max_length is not None:
-        solver = job.solver_config()
-    report = run_verify(seed=job.seed, samples=samples, solver=solver)
+    report = run_verify(seed=job.seed, samples=samples, solver=job.solver_config(VERIFY_SOLVER))
     report["command"] = "verify"
     return report
 
@@ -359,38 +350,40 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="roofentropy", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, *specs):
+    # Each command registers only the flags its _cmd_* reads, so a flag it
+    # would ignore is a usage error rather than a silent no-op.  A flag left
+    # out keeps its JobSpec default.
+    state = ("--state", {"help": "density matrix: JSON file or inline"})
+    channel = ("--channel", {"help": "reduction channel: JSON file or inline"})
+    tol = ("--tol", {"type": float})
+    samples = ("--samples", {"type": int})
+    solver = tuple((flag, {"type": int}) for flag in
+                   ("--seed", "--restarts", "--max-iters", "--max-length"))
+    commands = (
+        ("entropy", "von Neumann entropy of a state", (state, tol)),
+        ("reduce", "push a state through a reduction channel", (state, channel, tol)),
+        ("mutual", "mutual entropy of an ensemble and a channel",
+         (("--ensemble", {"help": "ensemble: JSON file or inline"}), channel, tol)),
+        ("roof", "solve the decomposition optimization for R and H",
+         (state, channel, ("--trace", {"help": "write per-restart JSON lines here"}),
+          tol, *solver, samples)),
+        ("qubit-oracle", "closed-form qubit value from the off-diagonal entry",
+         (("--z", {"help": "off-diagonal entry: real, complex literal, or [re, im]"}),
+          ("--terms", {"type": int, "help": "also evaluate the series with this many terms"}))),
+        ("block-oracle", "distinguished-direction analysis and explicit decomposition",
+         (state, ("--psi", {"help": "distinguished unit vector: JSON file or inline"}),
+          ("--solve", {"action": "store_true", "help": "also run the solver and report the gap"}),
+          tol, *solver)),
+        ("accinfo", "accessible-information bracket and entropy comparison",
+         (state, ("--projections", {"help": "JSON list of projection matrices"}),
+          tol, *solver, samples)),
+        ("verify", "run the seeded invariant suite", (*solver, samples)),
+    )
+    for name, help_text, specs in commands:
         p = sub.add_parser(name, help=help_text)
         for flag, kwargs in specs:
             p.add_argument(flag, **kwargs)
         p.add_argument("--format", default="json", choices=("json", "table"))
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--restarts", type=int, default=None)
-        p.add_argument("--max-iters", type=int, default=None)
-        p.add_argument("--max-length", type=int, default=None)
-        p.add_argument("--samples", type=int, default=None)
-        return p
-
-    state = ("--state", {"help": "density matrix: JSON file or inline"})
-    channel = ("--channel", {"help": "reduction channel: JSON file or inline"})
-    add("entropy", "von Neumann entropy of a state", state)
-    add("reduce", "push a state through a reduction channel", state, channel)
-    add("mutual", "mutual entropy of an ensemble and a channel",
-        ("--ensemble", {"help": "ensemble: JSON file or inline"}), channel)
-    roof = add("roof", "solve the decomposition optimization for R and H", state, channel)
-    roof.add_argument("--trace", default=None, help="write per-restart JSON lines here")
-    add("qubit-oracle", "closed-form qubit value from the off-diagonal entry",
-        ("--z", {"help": "off-diagonal entry: real, complex literal, or [re, im]"}),
-        ("--terms", {"type": int, "default": None,
-                     "help": "also evaluate the series with this many terms"}))
-    block = add("block-oracle", "distinguished-direction analysis and explicit decomposition",
-                state, ("--psi", {"help": "distinguished unit vector: JSON file or inline"}))
-    block.add_argument("--solve", action="store_true",
-                       help="also run the solver and report the gap")
-    add("accinfo", "accessible-information bracket and entropy comparison",
-        state, ("--projections", {"help": "JSON list of projection matrices"}))
-    add("verify", "run the seeded invariant suite")
     return parser
 
 
@@ -401,16 +394,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     fields = {f.name for f in dataclasses.fields(JobSpec)}
-    inputs = {}
-    overrides = {}
-    for key, value in vars(ns).items():
-        if key in ("command", "format"):
-            continue
-        name = key.replace("-", "_")
-        if name in fields and name != "inputs":
-            overrides[name] = value
-        elif value is not None:
-            inputs[key] = value
+    given = {k: v for k, v in vars(ns).items()
+             if v is not None and k not in ("command", "format")}
+    overrides = {k: v for k, v in given.items() if k in fields}
+    inputs = {k: v for k, v in given.items() if k not in fields}
     try:
         job = JobSpec(command=ns.command, inputs=inputs, format=ns.format, **overrides)
         status, rendered = run(job)

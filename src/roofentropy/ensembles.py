@@ -26,11 +26,16 @@ MERGE_TOL = 1e-9       # max-entry distance at which members merge
 
 @dataclasses.dataclass(frozen=True)
 class Ensemble:
-    """Weights summing to one paired with density operators of equal dimension."""
+    """Weights summing to one paired with density operators of equal dimension.
+
+    Its validation tolerances also govern `convex_sum`, `shorten` and `mutual_entropy`.
+    """
 
     weights: np.ndarray
     states: tuple
     tol: dataclasses.InitVar[Tolerances] = DEFAULT_TOL
+    # the validation tolerances, kept for what is derived from the ensemble
+    _tol: Tolerances = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self, tol: Tolerances):
         w = np.asarray(self.weights, dtype=float)
@@ -51,6 +56,7 @@ class Ensemble:
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "states", states)
+        object.__setattr__(self, "_tol", tol)
 
     @property
     def dim(self) -> int:
@@ -69,20 +75,19 @@ def pure_ensemble(weights, vectors: Sequence[np.ndarray], tol: Tolerances = DEFA
 
 
 def convex_sum(ensemble: Ensemble) -> DensityOperator:
-    """The mixture sum_j p_j rho_j as a validated density operator."""
-    if len(ensemble) == 0:
-        raise ValidationError("cannot mix an empty ensemble")
+    """The mixture sum_j p_j rho_j, validated under the ensemble's tolerances."""
     total = np.zeros((ensemble.dim, ensemble.dim), dtype=complex)
     for p, rho in ensemble.members():
         total += p * rho.matrix
-    return DensityOperator(total)
+    return DensityOperator(total, ensemble._tol)
 
 
-def shorten(ensemble: Ensemble, tol: Tolerances = DEFAULT_TOL) -> Ensemble:
+def shorten(ensemble: Ensemble) -> Ensemble:
     """Drop negligible members and merge duplicates by adding weights.
 
     Keeps the convex sum unchanged to well below validation tolerances; the
     first occurrence of a duplicate state is kept as the representative.
+    The result is validated under the ensemble's tolerances.
     """
     kept_w: list[float] = []
     kept_s: list[DensityOperator] = []
@@ -98,7 +103,7 @@ def shorten(ensemble: Ensemble, tol: Tolerances = DEFAULT_TOL) -> Ensemble:
             kept_s.append(rho)
     if not kept_s:
         raise ValidationError("all members fell below the weight cutoff")
-    return Ensemble(np.array(kept_w), tuple(kept_s), tol)
+    return Ensemble(np.array(kept_w), tuple(kept_s), ensemble._tol)
 
 
 def mutual_entropy(ensemble: Ensemble, channel: ReductionChannel, form: str = "holevo") -> float:
@@ -110,24 +115,25 @@ def mutual_entropy(ensemble: Ensemble, channel: ReductionChannel, form: str = "h
         ``"holevo"`` computes ``S(reduce(mix)) - sum_j p_j S(reduce(rho_j))``;
         ``"relative"`` computes ``sum_j p_j S(reduce(rho_j), reduce(mix))``
         as a cross-check.  The two agree whenever supports behave, and the
-        Holevo form is the numerically stable default.
+        Holevo form is the numerically stable default.  Both validate under
+        the ensemble's tolerances.
     """
     if form not in ("holevo", "relative"):
         raise ValidationError(f"unknown mutual entropy form {form!r}")
-    mix = convex_sum(ensemble)
-    reduced_mix = reduce_state(channel, mix)
+    tol = ensemble._tol
+    reduced_mix = reduce_state(channel, convex_sum(ensemble), tol)
     if form == "holevo":
-        total = block_entropy(reduced_mix)
+        total = block_entropy(reduced_mix, tol)
         for p, rho in ensemble.members():
             if p <= 0.0:
                 continue
-            total -= p * block_entropy(reduce_state(channel, rho))
+            total -= p * block_entropy(reduce_state(channel, rho, tol), tol)
         return total
-    sigma = DensityOperator(reduced_mix.to_dense())
+    sigma = DensityOperator(reduced_mix.to_dense(), tol)
     total = 0.0
     for p, rho in ensemble.members():
         if p <= 0.0:
             continue
-        member = DensityOperator(reduce_state(channel, rho).to_dense())
-        total += p * relative_entropy(member, sigma)
+        member = DensityOperator(reduce_state(channel, rho, tol).to_dense(), tol)
+        total += p * relative_entropy(member, sigma, tol)
     return total

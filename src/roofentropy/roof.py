@@ -480,7 +480,7 @@ def solve_R(
                 + "\n"
             )
     best = min(range(cfg.restarts), key=values.__getitem__)
-    ensemble = shorten(decomposition_from_isometry(rho, isometries[best], tol), tol)
+    ensemble = shorten(decomposition_from_isometry(rho, isometries[best], tol))
     return RoofResult(
         value_R=values[best],
         value_H=ev.reduced_entropy - values[best],

@@ -65,15 +65,13 @@ def random_partition(total: int, rng: np.random.Generator, parts: int | None = N
 
 def random_projections(dim: int, rng: np.random.Generator, parts: int | None = None) -> list:
     """Complete family of orthogonal projections in a Haar-random basis."""
-    u = haar_unitary(dim, rng)
-    sizes = random_partition(dim, rng, parts)
-    out = []
-    at = 0
-    for s in sizes:
-        cols = u[:, at : at + s]
-        out.append(cols @ cols.conj().T)
-        at += s
-    return out
+    return _column_projections(haar_unitary(dim, rng), random_partition(dim, rng, parts))
+
+
+def _column_projections(u: np.ndarray, sizes) -> list:
+    """Projections onto consecutive blocks of ``sizes`` columns of the unitary ``u``."""
+    edges = np.cumsum([0, *sizes])
+    return [u[:, a:b] @ u[:, a:b].conj().T for a, b in zip(edges[:-1], edges[1:])]
 
 
 def random_pinching(dim: int, rng: np.random.Generator, parts: int | None = None) -> ReductionChannel:

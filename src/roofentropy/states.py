@@ -85,10 +85,14 @@ def _as_square_matrix(m, subject: str = "matrix") -> np.ndarray:
     return a
 
 
+def _max_asymmetry(a: np.ndarray) -> float:
+    """``max |a - a^dag|`` of an already checked square array."""
+    return float(np.max(np.abs(a - a.conj().T)))
+
+
 def hermiticity_defect(m) -> float:
     """Max-entry distance between ``m`` and its conjugate transpose."""
-    a = _as_square_matrix(m)
-    return float(np.max(np.abs(a - a.conj().T)))
+    return _max_asymmetry(_as_square_matrix(m))
 
 
 def _checked_hermitian(m, tol: Tolerances, subject: str) -> np.ndarray:
@@ -97,7 +101,7 @@ def _checked_hermitian(m, tol: Tolerances, subject: str) -> np.ndarray:
     ``subject`` names the matrix in error messages, e.g. ``"block 2"``.
     """
     a = _as_square_matrix(m, subject)
-    defect = hermiticity_defect(a)
+    defect = _max_asymmetry(a)
     if defect > tol.herm:
         raise ValidationError(
             f"{subject} not Hermitian: max asymmetry {defect:.3e} exceeds {tol.herm:.3e}"

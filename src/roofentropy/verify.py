@@ -36,9 +36,11 @@ from .roof import (
     zero_entropy_structure,
 )
 from .sampling import (
+    _column_projections,
     ginibre_density,
     haar_unitary,
     random_ensemble,
+    random_partition,
     random_pinching,
     random_projections,
     random_pure_state,
@@ -383,12 +385,7 @@ def _check_commuting_bracket(rng, n, cfg):
         u = haar_unitary(dim, rng)
         spectrum = rng.dirichlet(np.ones(dim))
         rho = DensityOperator((u * spectrum) @ u.conj().T)
-        projs = []
-        parts = int(rng.integers(2, dim + 1))
-        bounds = sorted(rng.choice(np.arange(1, dim), size=parts - 1, replace=False).tolist())
-        for lo, hi in zip([0] + bounds, bounds + [dim]):
-            cols = u[:, lo:hi]
-            projs.append(cols @ cols.conj().T)
+        projs = _column_projections(u, random_partition(dim, rng))
         br = benatti_bracket(rho, projs, cfg, measurement_samples=8)
         worst = max(worst, abs(br.upper - br.lower))
     return worst <= 1e-5, {"max_bracket_width": worst}

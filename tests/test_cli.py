@@ -1,11 +1,14 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 import roofentropy.cli as cli
+import roofentropy.verify as verify
 from roofentropy import ValidationError
 from roofentropy.cli import JobSpec, main, run
+from roofentropy.verify import VERIFY_SOLVER
 
 LN2 = 0.6931471805599453
 
@@ -13,6 +16,26 @@ MIXED = '[[0.5,0],[0,0.5]]'
 RHO = '[[0.6,0.2],[0.2,0.4]]'
 DIAG2 = '{"type":"diagonal","dim":2}'
 FAST_FLAGS = ["--restarts", "3", "--max-iters", "150"]
+
+SOLVER_FLAGS = ("--seed", "--restarts", "--max-iters", "--max-length")
+# Every flag each command reads, besides --format.
+READ_FLAGS = {
+    "entropy": ("--state", "--tol"),
+    "reduce": ("--state", "--channel", "--tol"),
+    "mutual": ("--ensemble", "--channel", "--tol"),
+    "roof": ("--state", "--channel", "--trace", "--tol", *SOLVER_FLAGS, "--samples"),
+    "qubit-oracle": ("--z", "--terms"),
+    "block-oracle": ("--state", "--psi", "--solve", "--tol", *SOLVER_FLAGS),
+    "accinfo": ("--state", "--projections", "--tol", *SOLVER_FLAGS, "--samples"),
+    "verify": (*SOLVER_FLAGS, "--samples"),
+}
+# The (command, flag) pairs that were registered but read by nothing.
+UNREAD_FLAGS = [
+    (command, flag)
+    for command in ("entropy", "reduce", "mutual", "qubit-oracle", "block-oracle", "verify")
+    for flag in ("--tol", *SOLVER_FLAGS, "--samples")
+    if flag not in READ_FLAGS[command]
+]
 
 
 def run_main(capsys, *argv):
@@ -48,6 +71,38 @@ class TestJobSpec:
     def test_unknown_command(self):
         with pytest.raises(ValidationError, match="unknown command"):
             run(JobSpec(command="frobnicate"))
+
+
+def _registered_flags():
+    sub = next(a for a in cli._build_parser()._actions if a.dest == "command")
+    return {
+        name: {opt for action in p._actions for opt in action.option_strings} - {"-h", "--help"}
+        for name, p in sub.choices.items()
+    }
+
+
+class TestFlags:
+    def test_each_command_registers_what_it_reads(self):
+        registered = _registered_flags()
+        assert registered == {c: {*flags, "--format"} for c, flags in READ_FLAGS.items()}
+        assert sum(len(flags) for flags in registered.values()) == 48
+        assert len(UNREAD_FLAGS) == 23
+
+    @pytest.mark.parametrize("command,flag", UNREAD_FLAGS)
+    def test_unread_flag_is_a_usage_error(self, capsys, command, flag):
+        status, out, err = run_main(capsys, command, flag, "1")
+        assert status == 1
+        assert out == ""
+        assert err.startswith("error:") and flag in err
+
+    @pytest.mark.parametrize(
+        "command,flag", [(c, f) for c, flags in READ_FLAGS.items() for f in flags]
+    )
+    def test_read_flag_is_accepted(self, command, flag):
+        value = "1" if flag != "--tol" else "1e-6"
+        argv = [command, flag] if flag == "--solve" else [command, flag, value]
+        ns = cli._build_parser().parse_args(argv)
+        assert getattr(ns, flag[2:].replace("-", "_")) not in (None, False)
 
 
 class TestEntropyCommand:
@@ -105,6 +160,18 @@ class TestMutualCommand:
         report = run_json(capsys, "mutual", "--ensemble", ensemble, "--channel", DIAG2)
         assert report["length"] == 2
         assert report["mutual_entropy"] == pytest.approx(LN2, abs=1e-11)
+        assert report["form_difference"] == pytest.approx(0.0, abs=1e-10)
+
+    def test_tol_governs_the_mixture(self, capsys):
+        # trace 1.00005: inside --tol 1e-3, so the mixture of two copies is too
+        drifted = [[0.40005, 0, 0], [0, 0.35, 0], [0, 0, 0.25]]
+        ensemble = json.dumps({"weights": [0.5, 0.5], "states": [drifted, drifted]})
+        argv = ["mutual", "--ensemble", ensemble, "--channel", '{"type":"diagonal","dim":3}']
+        status, out, err = run_main(capsys, *argv)
+        assert status == 1 and out == "" and "trace" in err
+        report = run_json(capsys, *argv, "--tol", "1e-3")
+        assert report["length"] == 2
+        assert report["mutual_entropy"] == pytest.approx(0.0, abs=1e-12)
         assert report["form_difference"] == pytest.approx(0.0, abs=1e-10)
 
 
@@ -268,6 +335,16 @@ class TestVerifyCommand:
         assert seen["seed"] == 7
         assert seen["samples"] == 2
         assert seen["solver"].restarts == 3
+        assert seen["solver"].max_iters == 250
+
+    def test_solver_flag_overrides_only_its_field(self, capsys, monkeypatch):
+        monkeypatch.setattr(verify, "CHECKS", ())
+        report = run_json(capsys, "verify", "--seed", "7", "--max-iters", "20")
+        expected = dataclasses.replace(VERIFY_SOLVER, seed=7, max_iters=20)
+        assert report["solver"] == dataclasses.asdict(expected)
+        assert report["solver"]["restarts"] == VERIFY_SOLVER.restarts
+        report = run_json(capsys, "verify", "--seed", "3")
+        assert report["solver"] == dataclasses.asdict(dataclasses.replace(VERIFY_SOLVER, seed=3))
 
 
 class TestErrorPaths:

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -7,6 +9,7 @@ from roofentropy import (
     DensityOperator,
     Ensemble,
     PureState,
+    Tolerances,
     ValidationError,
     convex_sum,
     diagonal_pinching,
@@ -148,3 +151,32 @@ class TestMutualEntropy:
         e = two_point(np.diag([1.0, 0]), np.diag([0, 1.0]))
         with pytest.raises(ValidationError):
             mutual_entropy(e, diagonal_pinching(3))
+
+
+class TestEnsembleTolerances:
+    LOOSE = Tolerances(herm=1e-3, trace=1e-3, norm=1e-3, psd=1e-3, support=1e-4)
+    # trace 1.00005: inside LOOSE, outside the defaults
+    DRIFTED = np.diag([0.40005, 0.35, 0.25])
+
+    def test_derived_objects_use_the_ensemble_tolerances(self):
+        e = Ensemble([0.5, 0.5], [self.DRIFTED, self.DRIFTED], self.LOOSE)
+        assert np.trace(convex_sum(e).matrix).real == pytest.approx(1.00005, abs=1e-12)
+        ch = diagonal_pinching(3)
+        holevo = mutual_entropy(e, ch, "holevo")
+        assert holevo == pytest.approx(0.0, abs=1e-12)
+        assert mutual_entropy(e, ch, "relative") == pytest.approx(holevo, abs=1e-10)
+        short = shorten(e)
+        assert len(short) == 1
+        assert len(shorten(short)) == 1
+        with pytest.raises(ValidationError, match="trace"):
+            Ensemble([0.5, 0.5], [self.DRIFTED, self.DRIFTED])
+
+    def test_tolerances_kept_outside_init_compare_and_repr(self):
+        e = Ensemble([1.0], [np.eye(2) / 2], self.LOOSE)
+        assert e._tol == self.LOOSE
+        assert Ensemble([1.0], [np.eye(2) / 2])._tol == Tolerances()
+        field = {f.name: f for f in dataclasses.fields(Ensemble)}["_tol"]
+        assert (field.init, field.compare, field.repr) == (False, False, False)
+
+    def test_shorten_takes_no_tolerances(self):
+        assert list(inspect.signature(shorten).parameters) == ["ensemble"]
