@@ -195,6 +195,8 @@ def _validate_projections(projections: Sequence[np.ndarray]):
     mats = [np.asarray(p, dtype=complex) for p in projections]
     if not mats:
         raise ValidationError("need at least one projection")
+    if mats[0].ndim != 2 or not mats[0].size:
+        raise ValidationError(f"projection 0 has shape {mats[0].shape}, expected a nonempty square matrix")
     n = mats[0].shape[0]
     for j, p in enumerate(mats):
         if p.shape != (n, n):

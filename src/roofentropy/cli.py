@@ -5,8 +5,12 @@ canonical JSON report: keys sorted, floats carrying 12 significant digits,
 so identical jobs produce byte-identical output.  ``--format table``
 flattens the same report for quick reading and is lossy on matrices.
 
-Exit codes: 0 success, 1 validation or input error, 2 failed checks from
-``verify``.
+Each subcommand registers only the flags it reads, and each flag must be
+spelled in full.  The handlers read the parsed flags directly; every JSON
+input is decoded by ``jsonio``.
+
+Exit codes: 0 success, 1 validation, input or usage error, 2 failed checks
+from ``verify``.
 """
 
 from __future__ import annotations
@@ -16,17 +20,15 @@ import dataclasses
 import json
 import math
 import sys
-from typing import Mapping
-
-import numpy as np
 
 from .accinfo import benatti_bracket, holevo_check
 from .channels import block_compression, block_entropy, reduce_state
 from .ensembles import mutual_entropy
 from .jsonio import (
+    _decode_projections,
+    _decode_scalar,
     block_density_to_json,
     channel_from_json,
-    decode_matrix,
     density_from_json,
     ensemble_from_json,
     ensemble_to_json,
@@ -49,45 +51,23 @@ from .states import (
 )
 from .verify import VERIFY_SOLVER, run_verify
 
-__all__ = ["JobSpec", "run", "main"]
+__all__ = ["main"]
 
 
-@dataclasses.dataclass(frozen=True)
-class JobSpec:
-    """One CLI invocation: a command plus raw inputs and overrides."""
+def _tolerances(tol: float | None) -> Tolerances:
+    """The default tolerances, or ``--tol`` spread over every check."""
+    if tol is None:
+        return DEFAULT_TOL
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValidationError(f"--tol must be finite and positive, got {tol!r}")
+    return Tolerances(herm=tol, trace=tol, norm=tol, psd=tol, support=0.1 * tol)
 
-    command: str
-    inputs: Mapping[str, str] = dataclasses.field(default_factory=dict)
-    format: str = "json"
-    seed: int = 0
-    samples: int | None = None
-    tol: float | None = None
-    restarts: int | None = None
-    max_iters: int | None = None
-    max_length: int | None = None
-    terms: int | None = None
-    solve: bool = False
-    trace: str | None = None
 
-    def __post_init__(self):
-        if self.format not in ("json", "table"):
-            raise ValidationError(f"unknown output format {self.format!r}")
-
-    def tolerances(self) -> Tolerances:
-        if self.tol is None:
-            return DEFAULT_TOL
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise ValidationError(f"--tol must be finite and positive, got {self.tol!r}")
-        return Tolerances(
-            herm=self.tol, trace=self.tol, norm=self.tol, psd=self.tol,
-            support=0.1 * self.tol,
-        )
-
-    def solver_config(self, base: SolverConfig = SolverConfig()) -> SolverConfig:
-        """``base`` with the seed and each solver flag that was given."""
-        given = {name: getattr(self, name) for name in ("restarts", "max_iters", "max_length")
-                 if getattr(self, name) is not None}
-        return dataclasses.replace(base, seed=self.seed, **given)
+def _solver_config(ns: argparse.Namespace, base: SolverConfig = SolverConfig()) -> SolverConfig:
+    """``base`` with the seed and each solver flag that was given."""
+    given = {name: getattr(ns, name) for name in ("restarts", "max_iters", "max_length")
+             if getattr(ns, name) is not None}
+    return dataclasses.replace(base, seed=ns.seed, **given)
 
 
 def _load_json(raw: str, what: str):
@@ -109,31 +89,23 @@ def _load_json(raw: str, what: str):
         )
 
 
-def _require_input(job: JobSpec, key: str) -> str:
-    raw = job.inputs.get(key)
+def _require_input(ns: argparse.Namespace, key: str) -> str:
+    raw = getattr(ns, key)
     if raw is None:
-        raise ValidationError(f"command {job.command!r} requires --{key}")
+        raise ValidationError(f"command {ns.command!r} requires --{key}")
     return raw
 
 
 def _parse_z(raw: str) -> complex:
     try:
-        return complex(float(raw))
-    except ValueError:
-        pass
-    try:
         return complex(raw)
     except ValueError:
-        pass
-    value = _load_json(raw, "--z")
-    if isinstance(value, list) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
-    raise ValidationError(f"--z: expected a number, a complex literal, or [re, im], got {raw!r}")
+        return _decode_scalar(_load_json(raw, "--z"), "--z")
 
 
-def _cmd_entropy(job: JobSpec) -> dict:
-    tol = job.tolerances()
-    rho = density_from_json(_load_json(_require_input(job, "state"), "--state"), tol)
+def _cmd_entropy(ns: argparse.Namespace) -> dict:
+    tol = _tolerances(ns.tol)
+    rho = density_from_json(_load_json(_require_input(ns, "state"), "--state"), tol)
     return {
         "command": "entropy",
         "dim": rho.dim,
@@ -143,10 +115,10 @@ def _cmd_entropy(job: JobSpec) -> dict:
     }
 
 
-def _cmd_reduce(job: JobSpec) -> dict:
-    tol = job.tolerances()
-    rho = density_from_json(_load_json(_require_input(job, "state"), "--state"), tol)
-    channel = channel_from_json(_load_json(_require_input(job, "channel"), "--channel"))
+def _cmd_reduce(ns: argparse.Namespace) -> dict:
+    tol = _tolerances(ns.tol)
+    rho = density_from_json(_load_json(_require_input(ns, "state"), "--state"), tol)
+    channel = channel_from_json(_load_json(_require_input(ns, "channel"), "--channel"))
     bd = reduce_state(channel, rho, tol)
     report = block_density_to_json(bd)
     report["command"] = "reduce"
@@ -155,10 +127,10 @@ def _cmd_reduce(job: JobSpec) -> dict:
     return report
 
 
-def _cmd_mutual(job: JobSpec) -> dict:
-    tol = job.tolerances()
-    ensemble = ensemble_from_json(_load_json(_require_input(job, "ensemble"), "--ensemble"), tol)
-    channel = channel_from_json(_load_json(_require_input(job, "channel"), "--channel"))
+def _cmd_mutual(ns: argparse.Namespace) -> dict:
+    tol = _tolerances(ns.tol)
+    ensemble = ensemble_from_json(_load_json(_require_input(ns, "ensemble"), "--ensemble"), tol)
+    channel = channel_from_json(_load_json(_require_input(ns, "channel"), "--channel"))
     holevo = mutual_entropy(ensemble, channel, "holevo")
     relative = mutual_entropy(ensemble, channel, "relative")
     return {
@@ -170,14 +142,14 @@ def _cmd_mutual(job: JobSpec) -> dict:
     }
 
 
-def _cmd_roof(job: JobSpec) -> dict:
-    tol = job.tolerances()
-    rho = density_from_json(_load_json(_require_input(job, "state"), "--state"), tol)
-    channel = channel_from_json(_load_json(_require_input(job, "channel"), "--channel"))
-    cfg = job.solver_config()
-    result = solve_R(rho, channel, cfg, tol, trace=job.trace)
+def _cmd_roof(ns: argparse.Namespace) -> dict:
+    tol = _tolerances(ns.tol)
+    rho = density_from_json(_load_json(_require_input(ns, "state"), "--state"), tol)
+    channel = channel_from_json(_load_json(_require_input(ns, "channel"), "--channel"))
+    cfg = _solver_config(ns)
+    result = solve_R(rho, channel, cfg, tol, trace=ns.trace)
     report = {"command": "roof", "result": roof_result_to_json(result)}
-    samples = 10 if job.samples is None else job.samples
+    samples = 10 if ns.samples is None else ns.samples
     cert = affinity_certificate(result, channel, samples=samples, config=cfg)
     report["affinity"] = {
         "max_discrepancy": cert.max_discrepancy,
@@ -197,28 +169,28 @@ def _cmd_roof(job: JobSpec) -> dict:
     return report
 
 
-def _cmd_qubit_oracle(job: JobSpec) -> dict:
-    z = _parse_z(_require_input(job, "z"))
+def _cmd_qubit_oracle(ns: argparse.Namespace) -> dict:
+    z = _parse_z(_require_input(ns, "z"))
     report = {
         "command": "qubit-oracle",
         "z": [z.real, z.imag],
         "magnitude": abs(z),
         "value": qubit_R(z),
     }
-    if job.terms is not None:
-        partial = qubit_R_series(z, job.terms)
+    if ns.terms is not None:
+        partial = qubit_R_series(z, ns.terms)
         report["series"] = {
-            "terms": job.terms,
+            "terms": ns.terms,
             "value": partial,
             "difference": partial - report["value"],
         }
     return report
 
 
-def _cmd_block_oracle(job: JobSpec) -> dict:
-    tol = job.tolerances()
-    rho = density_from_json(_load_json(_require_input(job, "state"), "--state"), tol)
-    psi = pure_from_json(_load_json(_require_input(job, "psi"), "--psi"), tol)
+def _cmd_block_oracle(ns: argparse.Namespace) -> dict:
+    tol = _tolerances(ns.tol)
+    rho = density_from_json(_load_json(_require_input(ns, "state"), "--state"), tol)
+    psi = pure_from_json(_load_json(_require_input(ns, "psi"), "--psi"), tol)
     data = block_example_analyze(rho, psi, tol)
     analysis = {
         "distinguished_weight": data.lam,
@@ -236,8 +208,8 @@ def _cmd_block_oracle(job: JobSpec) -> dict:
         "length": len(decomposition.ensemble),
         "ensemble": ensemble_to_json(decomposition.ensemble),
     }
-    if job.solve:
-        result = solve_R(rho, block_compression(psi), job.solver_config(), tol)
+    if ns.solve:
+        result = solve_R(rho, block_compression(psi), _solver_config(ns), tol)
         report["solver"] = {
             "value_R": result.value_R,
             "value_H": result.value_H,
@@ -246,15 +218,13 @@ def _cmd_block_oracle(job: JobSpec) -> dict:
     return report
 
 
-def _cmd_accinfo(job: JobSpec) -> dict:
-    tol = job.tolerances()
-    rho = density_from_json(_load_json(_require_input(job, "state"), "--state"), tol)
-    raw = _load_json(_require_input(job, "projections"), "--projections")
-    if not isinstance(raw, list) or not raw:
-        raise ValidationError("--projections: expected a non-empty JSON list of matrices")
-    projections = [decode_matrix(p, f"projections[{i}]") for i, p in enumerate(raw)]
-    cfg = job.solver_config()
-    samples = 256 if job.samples is None else job.samples
+def _cmd_accinfo(ns: argparse.Namespace) -> dict:
+    tol = _tolerances(ns.tol)
+    rho = density_from_json(_load_json(_require_input(ns, "state"), "--state"), tol)
+    raw = _load_json(_require_input(ns, "projections"), "--projections")
+    projections = _decode_projections(raw, "--projections")
+    cfg = _solver_config(ns)
+    samples = 256 if ns.samples is None else ns.samples
     bracket = benatti_bracket(rho, projections, cfg, measurement_samples=samples, tol=tol)
     hc = holevo_check(rho, projections, cfg, tol, roof=bracket.roof)
     return {
@@ -278,23 +248,11 @@ def _cmd_accinfo(job: JobSpec) -> dict:
     }
 
 
-def _cmd_verify(job: JobSpec) -> dict:
-    samples = 1 if job.samples is None else job.samples
-    report = run_verify(seed=job.seed, samples=samples, solver=job.solver_config(VERIFY_SOLVER))
+def _cmd_verify(ns: argparse.Namespace) -> dict:
+    samples = 1 if ns.samples is None else ns.samples
+    report = run_verify(seed=ns.seed, samples=samples, solver=_solver_config(ns, VERIFY_SOLVER))
     report["command"] = "verify"
     return report
-
-
-_COMMANDS = {
-    "entropy": _cmd_entropy,
-    "reduce": _cmd_reduce,
-    "mutual": _cmd_mutual,
-    "roof": _cmd_roof,
-    "qubit-oracle": _cmd_qubit_oracle,
-    "block-oracle": _cmd_block_oracle,
-    "accinfo": _cmd_accinfo,
-    "verify": _cmd_verify,
-}
 
 
 def _flatten(prefix: str, value, rows: list):
@@ -327,18 +285,6 @@ def _render(report: dict, fmt: str) -> str:
     return "\n".join(f"{k.ljust(width)}  {v}" for k, v in rows)
 
 
-def run(job: JobSpec) -> tuple[int, str]:
-    """Execute a job; returns (exit status, rendered report)."""
-    handler = _COMMANDS.get(job.command)
-    if handler is None:
-        raise ValidationError(f"unknown command {job.command!r}")
-    report = handler(job)
-    status = 0
-    if job.command == "verify" and report["counts"]["failed"] > 0:
-        status = 2
-    return status, _render(report, job.format)
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors; the contract reserves 2 for failed
     # verification, so route usage problems through the validation path.
@@ -347,65 +293,57 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="roofentropy", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="roofentropy", description=__doc__.splitlines()[0], allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
     # Each command registers only the flags its _cmd_* reads, so a flag it
-    # would ignore is a usage error rather than a silent no-op.  A flag left
-    # out keeps its JobSpec default.
+    # would ignore is a usage error rather than a silent no-op.  Prefixes are
+    # off: what one would mean depends on the command's other flags.
     state = ("--state", {"help": "density matrix: JSON file or inline"})
     channel = ("--channel", {"help": "reduction channel: JSON file or inline"})
     tol = ("--tol", {"type": float})
     samples = ("--samples", {"type": int})
-    solver = tuple((flag, {"type": int}) for flag in
-                   ("--seed", "--restarts", "--max-iters", "--max-length"))
+    solver = (("--seed", {"type": int, "default": 0}),
+              *((flag, {"type": int}) for flag in ("--restarts", "--max-iters", "--max-length")))
     commands = (
-        ("entropy", "von Neumann entropy of a state", (state, tol)),
-        ("reduce", "push a state through a reduction channel", (state, channel, tol)),
-        ("mutual", "mutual entropy of an ensemble and a channel",
+        ("entropy", _cmd_entropy, "von Neumann entropy of a state", (state, tol)),
+        ("reduce", _cmd_reduce, "push a state through a reduction channel", (state, channel, tol)),
+        ("mutual", _cmd_mutual, "mutual entropy of an ensemble and a channel",
          (("--ensemble", {"help": "ensemble: JSON file or inline"}), channel, tol)),
-        ("roof", "solve the decomposition optimization for R and H",
+        ("roof", _cmd_roof, "solve the decomposition optimization for R and H",
          (state, channel, ("--trace", {"help": "write per-restart JSON lines here"}),
           tol, *solver, samples)),
-        ("qubit-oracle", "closed-form qubit value from the off-diagonal entry",
+        ("qubit-oracle", _cmd_qubit_oracle, "closed-form qubit value from the off-diagonal entry",
          (("--z", {"help": "off-diagonal entry: real, complex literal, or [re, im]"}),
           ("--terms", {"type": int, "help": "also evaluate the series with this many terms"}))),
-        ("block-oracle", "distinguished-direction analysis and explicit decomposition",
+        ("block-oracle", _cmd_block_oracle,
+         "distinguished-direction analysis and explicit decomposition",
          (state, ("--psi", {"help": "distinguished unit vector: JSON file or inline"}),
           ("--solve", {"action": "store_true", "help": "also run the solver and report the gap"}),
           tol, *solver)),
-        ("accinfo", "accessible-information bracket and entropy comparison",
+        ("accinfo", _cmd_accinfo, "accessible-information bracket and entropy comparison",
          (state, ("--projections", {"help": "JSON list of projection matrices"}),
           tol, *solver, samples)),
-        ("verify", "run the seeded invariant suite", (*solver, samples)),
+        ("verify", _cmd_verify, "run the seeded invariant suite", (*solver, samples)),
     )
-    for name, help_text, specs in commands:
-        p = sub.add_parser(name, help=help_text)
+    for name, handler, help_text, specs in commands:
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         for flag, kwargs in specs:
             p.add_argument(flag, **kwargs)
         p.add_argument("--format", default="json", choices=("json", "table"))
+        p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
     try:
         ns = _build_parser().parse_args(argv)
+        report = ns.handler(ns)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    fields = {f.name for f in dataclasses.fields(JobSpec)}
-    given = {k: v for k, v in vars(ns).items()
-             if v is not None and k not in ("command", "format")}
-    overrides = {k: v for k, v in given.items() if k in fields}
-    inputs = {k: v for k, v in given.items() if k not in fields}
-    try:
-        job = JobSpec(command=ns.command, inputs=inputs, format=ns.format, **overrides)
-        status, rendered = run(job)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    print(rendered)
-    return status
+    print(_render(report, ns.format))
+    return 2 if ns.command == "verify" and report["counts"]["failed"] > 0 else 0
 
 
 if __name__ == "__main__":

@@ -2,7 +2,8 @@
 
 Complex numbers serialize as two-element arrays ``[re, im]``; matrices and
 vectors as row-major nested arrays of those pairs.  Decoders are strict:
-unknown object keys are rejected so that typos in job files fail loudly.
+unknown object keys are rejected so that typos in job files fail loudly,
+integer fields take only JSON integers, and booleans are not numbers.
 """
 
 from __future__ import annotations
@@ -43,12 +44,31 @@ def _require_keys(obj: dict, required, optional=(), what="object"):
         raise ValidationError(f"{what} has unknown keys {unknown}")
 
 
+def _is_number(value) -> bool:
+    """A JSON number; ``true`` and ``false`` are not numbers."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _decode_scalar(value, what="number"):
-    if isinstance(value, (int, float)):
+    if _is_number(value):
         return complex(value)
-    if isinstance(value, list) and len(value) == 2 and all(isinstance(x, (int, float)) for x in value):
+    if isinstance(value, list) and len(value) == 2 and all(_is_number(x) for x in value):
         return complex(value[0], value[1])
     raise ValidationError(f"cannot decode {what}: expected a number or [re, im] pair, got {value!r}")
+
+
+def _decode_int(value, what: str) -> int:
+    """A JSON integer literal; strings, booleans, ``null`` and floats (even ``2.0``) are not."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{what} must be a JSON integer, got {value!r}")
+    return int(value)
+
+
+def _decode_projections(data, what="projections") -> list:
+    """A nonempty array of projection matrices, decoded but not yet checked."""
+    if not isinstance(data, list) or not data:
+        raise ValidationError(f"{what} must be a nonempty array of matrices")
+    return [decode_matrix(p, f"{what}[{i}]") for i, p in enumerate(data)]
 
 
 def encode_complex(z) -> list:
@@ -101,6 +121,8 @@ def ensemble_from_json(data, tol: Tolerances = DEFAULT_TOL) -> Ensemble:
     states = data["states"]
     if not isinstance(weights, list) or not isinstance(states, list):
         raise ValidationError("ensemble weights and states must be arrays")
+    if not all(_is_number(w) for w in weights):
+        raise ValidationError(f"ensemble weights must be JSON numbers, got {weights!r}")
     return Ensemble(
         np.asarray(weights, dtype=float),
         tuple(DensityOperator(decode_matrix(s, "ensemble state"), tol) for s in states),
@@ -127,25 +149,26 @@ def channel_from_json(data) -> ReductionChannel:
         kind = data["type"]
         if kind == "diagonal":
             _require_keys(data, ("type", "dim"), what="diagonal channel")
-            return diagonal_pinching(int(data["dim"]))
+            return diagonal_pinching(_decode_int(data["dim"], "diagonal channel dim"))
         if kind == "block_compression":
             _require_keys(data, ("type", "psi"), what="block compression channel")
             return block_compression(PureState(decode_vector(data["psi"], "psi")))
         if kind == "commutative":
             _require_keys(data, ("type", "projections"), what="commutative channel")
-            projs = data["projections"]
-            if not isinstance(projs, list):
-                raise ValidationError("projections must be an array of matrices")
-            return commutative_channel([decode_matrix(p, "projection") for p in projs])
+            return commutative_channel(_decode_projections(data["projections"]))
         raise ValidationError(f"unknown channel type {kind!r}")
     _require_keys(data, ("input_dim", "block_dims", "kraus"), what="channel")
+    for key in ("block_dims", "kraus"):
+        if not isinstance(data[key], list):
+            raise ValidationError(f"channel {key} must be an array, got {type(data[key]).__name__}")
     terms = []
-    for t in data["kraus"]:
+    for i, t in enumerate(data["kraus"]):
         _require_keys(t, ("block", "matrix"), what="Kraus term")
-        terms.append((int(t["block"]), decode_matrix(t["matrix"], "Kraus matrix")))
+        terms.append((_decode_int(t["block"], f"kraus[{i}] block"),
+                      decode_matrix(t["matrix"], "Kraus matrix")))
     return ReductionChannel(
-        int(data["input_dim"]),
-        tuple(int(d) for d in data["block_dims"]),
+        _decode_int(data["input_dim"], "channel input_dim"),
+        tuple(_decode_int(d, f"channel block_dims[{i}]") for i, d in enumerate(data["block_dims"])),
         tuple(terms),
     )
 

@@ -165,6 +165,11 @@ class TestCommutativeChannel:
             -(0.8 * math.log(0.8) + 0.2 * math.log(0.2)), abs=1e-12
         )
 
+    @pytest.mark.parametrize("bad", [np.zeros((0, 0)), np.float64(1.0)], ids=["empty", "0-d"])
+    def test_rejects_empty_or_scalar_projection(self, bad):
+        with pytest.raises(ValidationError, match="projection 0 has shape"):
+            commutative_channel([bad])
+
 
 class TestBlockDensity:
     def test_traces_must_sum_to_one(self):

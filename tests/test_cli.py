@@ -6,8 +6,8 @@ import pytest
 
 import roofentropy.cli as cli
 import roofentropy.verify as verify
-from roofentropy import ValidationError
-from roofentropy.cli import JobSpec, main, run
+from roofentropy import SolverConfig, ValidationError, channel_to_json, diagonal_pinching
+from roofentropy.cli import main
 from roofentropy.verify import VERIFY_SOLVER
 
 LN2 = 0.6931471805599453
@@ -38,6 +38,39 @@ UNREAD_FLAGS = [
 ]
 
 
+def explicit_channel(block=0, **fields):
+    """The explicit form of the dim-2 pinching, with fields replaced."""
+    data = channel_to_json(diagonal_pinching(2))
+    data["kraus"][0]["block"] = block
+    return json.dumps(dict(data, **fields))
+
+
+# (argv, a word the error must name); each exits 1 with empty stdout.
+MALFORMED = {
+    "dim-string": (("reduce", "--state", RHO, "--channel", '{"type":"diagonal","dim":"two"}'),
+                   "dim"),
+    "dim-null": (("reduce", "--state", RHO, "--channel", '{"type":"diagonal","dim":null}'), "dim"),
+    "dim-fraction": (("reduce", "--state", RHO, "--channel", '{"type":"diagonal","dim":2.7}'),
+                     "dim"),
+    "input-dim-string": (("reduce", "--state", RHO, "--channel", explicit_channel(input_dim="x")),
+                         "input_dim"),
+    "block-dims-scalar": (("reduce", "--state", RHO, "--channel", explicit_channel(block_dims=5)),
+                          "block_dims"),
+    "kraus-scalar": (("reduce", "--state", RHO, "--channel", explicit_channel(kraus=5)), "kraus"),
+    "block-string": (("reduce", "--state", RHO, "--channel", explicit_channel(block="a")),
+                     "block"),
+    "block-fraction": (("reduce", "--state", RHO, "--channel", explicit_channel(block=1.9)),
+                       "block"),
+    "weights-string": (("mutual", "--ensemble", '{"weights":["a"],"states":[[[1,0],[0,0]]]}',
+                        "--channel", DIAG2), "weights"),
+    "z-pair-string": (("qubit-oracle", "--z", '[1,"a"]'), "--z"),
+    "state-booleans": (("entropy", "--state", "[[true,0],[0,false]]"), "density matrix"),
+    "prefix-terms": (("qubit-oracle", "--z", "0.3", "--te", "5"), "--te"),
+    "prefix-state-tol-format": (("entropy", "--st", MIXED, "--t", "1e-3", "--f", "table"),
+                                "--st"),
+}
+
+
 def run_main(capsys, *argv):
     status = main(list(argv))
     captured = capsys.readouterr()
@@ -50,27 +83,21 @@ def run_json(capsys, *argv):
     return json.loads(out)
 
 
-class TestJobSpec:
-    def test_bad_format_rejected(self):
-        with pytest.raises(ValidationError, match="format"):
-            JobSpec(command="entropy", format="yaml")
-
+class TestFlagHelpers:
     def test_tol_must_be_positive(self):
         with pytest.raises(ValidationError, match="positive"):
-            JobSpec(command="entropy", tol=-1.0).tolerances()
+            cli._tolerances(-1.0)
 
     def test_tol_spreads_to_all_checks(self):
-        t = JobSpec(command="entropy", tol=1e-6).tolerances()
+        t = cli._tolerances(1e-6)
         assert t.herm == t.trace == t.norm == t.psd == 1e-6
         assert t.support == pytest.approx(1e-7)
 
     def test_solver_overrides(self):
-        cfg = JobSpec(command="roof", seed=5, restarts=2, max_iters=50).solver_config()
+        argv = ["roof", "--seed", "5", "--restarts", "2", "--max-iters", "50"]
+        cfg = cli._solver_config(cli._build_parser().parse_args(argv))
         assert (cfg.seed, cfg.restarts, cfg.max_iters) == (5, 2, 50)
-
-    def test_unknown_command(self):
-        with pytest.raises(ValidationError, match="unknown command"):
-            run(JobSpec(command="frobnicate"))
+        assert cfg.max_length == SolverConfig().max_length
 
 
 def _registered_flags():
@@ -370,7 +397,7 @@ class TestErrorPaths:
         # A NaN tolerance used to pass every check: this unnormalized,
         # non-PSD "state" reported entropy -0.608 and purity 2.5.
         bad = "[[[1.5,0],[0,0]],[[0,0],[-0.5,0]]]"
-        for tol in ("nan", "inf"):
+        for tol in ("nan", "inf", "-1"):
             status, out, err = run_main(capsys, "entropy", "--state", bad, "--tol", tol)
             assert status == 1
             assert out == ""
@@ -409,6 +436,13 @@ class TestErrorPaths:
         status, _, err = run_main(capsys, "qubit-oracle")
         assert status == 1
         assert "--z" in err
+
+    @pytest.mark.parametrize("argv,named", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_malformed_input_exits_one(self, capsys, argv, named):
+        status, out, err = run_main(capsys, *argv)
+        assert status == 1
+        assert out == ""
+        assert err.startswith("error:") and named in err
 
     def test_unknown_command_exits_one(self, capsys):
         status, _, err = run_main(capsys, "frobnicate")

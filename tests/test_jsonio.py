@@ -59,6 +59,11 @@ class TestScalarsAndArrays:
         with pytest.raises(ValidationError):
             decode_vector([[1.0, 2.0, 3.0]])
 
+    @pytest.mark.parametrize("data", [[True, 0], [[0.5, False]]])
+    def test_booleans_are_not_numbers(self, data):
+        with pytest.raises(ValidationError, match="pair"):
+            decode_vector(data)
+
     def test_output_is_json_serializable(self):
         m = np.array([[0.5, 0.1j], [-0.1j, 0.5]])
         text = json.dumps(encode_matrix(m))
@@ -111,6 +116,11 @@ class TestEnsembles:
         with pytest.raises(ValidationError, match="JSON object"):
             ensemble_from_json([1.0])
 
+    @pytest.mark.parametrize("weight", [True, "1", None])
+    def test_weights_must_be_numbers(self, weight):
+        with pytest.raises(ValidationError, match="weights must be JSON numbers"):
+            ensemble_from_json({"weights": [weight], "states": [[[1, 0], [0, 0]]]})
+
 
 class TestChannels:
     def test_explicit_roundtrip(self):
@@ -155,6 +165,32 @@ class TestChannels:
         data = channel_to_json(diagonal_pinching(2))
         data["kraus"][0]["weight"] = 1.0
         with pytest.raises(ValidationError, match="unknown keys"):
+            channel_from_json(data)
+
+    @pytest.mark.parametrize("dim", ["2", True, None, 2.7, 2.0, float("inf")])
+    def test_dim_must_be_a_json_integer(self, dim):
+        with pytest.raises(ValidationError, match="dim must be a JSON integer"):
+            channel_from_json({"type": "diagonal", "dim": dim})
+
+    @pytest.mark.parametrize(
+        "path,name",
+        [(("input_dim",), "input_dim"), (("block_dims", 1), r"block_dims\[1\]"),
+         (("kraus", 1, "block"), r"kraus\[1\] block")],
+        ids=["input_dim", "block_dims", "kraus-block"],
+    )
+    def test_explicit_integer_fields_checked(self, path, name):
+        data = channel_to_json(diagonal_pinching(2))
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = False
+        with pytest.raises(ValidationError, match=name + " must be a JSON integer"):
+            channel_from_json(data)
+
+    @pytest.mark.parametrize("field", ["block_dims", "kraus"])
+    def test_explicit_lists_checked(self, field):
+        data = dict(channel_to_json(diagonal_pinching(2)), **{field: {"0": 1}})
+        with pytest.raises(ValidationError, match=field + " must be an array"):
             channel_from_json(data)
 
 
