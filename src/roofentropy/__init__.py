@@ -52,7 +52,6 @@ from .jsonio import (
     pure_from_json,
     roof_result_to_json,
     round_floats,
-    solver_config_from_json,
 )
 from .oracles import (
     BlockDecomposition,
@@ -149,7 +148,6 @@ __all__ = [
     "pure_from_json",
     "block_density_to_json",
     "roof_result_to_json",
-    "solver_config_from_json",
     "round_floats",
     "run_verify",
 ]

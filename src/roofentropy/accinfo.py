@@ -37,6 +37,7 @@ from .states import (
     ValidationError,
     _checked_psd,
     _coerce,
+    _require_int,
     _xlnx,
     canonical_eigh,
     von_neumann_entropy,
@@ -220,10 +221,7 @@ def benatti_bracket(
     batches of at most ``MEASUREMENT_BATCH``, with the Haar bases drawn
     batch by batch, so memory does not grow with the sample count.
     """
-    if measurement_samples < 0:
-        raise ValidationError(
-            f"measurement_samples must be >= 0, got {measurement_samples}"
-        )
+    measurement_samples = _require_int("measurement_samples", measurement_samples, 0)
     rho = _coerce(rho, DensityOperator, tol)
     cfg = config if config is not None else SolverConfig()
     ensemble = ensemble_from_subalgebra(rho, projections, tol)

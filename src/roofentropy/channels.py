@@ -24,6 +24,7 @@ from .states import (
     _checked_psd,
     _coerce,
     _max_asymmetry,
+    _require_int,
     canonical_eigh,
     entropy_of_spectrum,
 )
@@ -71,21 +72,20 @@ class ReductionChannel:
     kraus: tuple
 
     def __post_init__(self):
-        if self.input_dim < 1:
-            raise ValidationError(f"input_dim must be positive, got {self.input_dim}")
-        dims = tuple(int(d) for d in self.block_dims)
-        if not dims or any(d < 1 for d in dims):
-            raise ValidationError(f"block_dims must be positive, got {dims}")
+        n = _require_int("input_dim", self.input_dim, 1)
+        dims = tuple(_require_int(f"block_dims[{i}]", d, 1) for i, d in enumerate(self.block_dims))
+        if not dims:
+            raise ValidationError("block_dims must name at least one block")
         terms = []
         for entry in self.kraus:
             b, k = entry
-            b = int(b)
-            if not 0 <= b < len(dims):
+            b = _require_int("Kraus term block", b, 0)
+            if b >= len(dims):
                 raise ValidationError(f"Kraus term references block {b}, have {len(dims)} blocks")
             k = np.asarray(k, dtype=complex)
-            if k.shape != (dims[b], self.input_dim):
+            if k.shape != (dims[b], n):
                 raise ValidationError(
-                    f"Kraus term for block {b} has shape {k.shape}, expected {(dims[b], self.input_dim)}"
+                    f"Kraus term for block {b} has shape {k.shape}, expected {(dims[b], n)}"
                 )
             if not np.isfinite(k).all():
                 raise ValidationError(f"Kraus term for block {b} has non-finite entries")
@@ -95,11 +95,12 @@ class ReductionChannel:
         if not terms:
             raise ValidationError("channel needs at least one Kraus term")
         comp = sum(t.matrix.conj().T @ t.matrix for t in terms)
-        defect = float(np.max(np.abs(comp - np.eye(self.input_dim))))
+        defect = float(np.max(np.abs(comp - np.eye(n))))
         if defect > COMPLETENESS_TOL:
             raise ValidationError(
                 f"Kraus completeness defect {defect:.3e} exceeds {COMPLETENESS_TOL:.3e}"
             )
+        object.__setattr__(self, "input_dim", n)
         object.__setattr__(self, "block_dims", dims)
         object.__setattr__(self, "kraus", tuple(terms))
 
@@ -128,7 +129,7 @@ class BlockDensity:
         total = 0.0
         for m, _ in checked:
             total += float(np.trace(m).real)
-        if abs(total - 1.0) > tol.trace:
+        if abs(total - 1.0) > tol.value:
             raise ValidationError(f"block traces sum to {total!r}, expected 1")
         object.__setattr__(self, "blocks", tuple(m for m, _ in checked))
         object.__setattr__(self, "_spectra", tuple(w for _, w in checked))
@@ -177,15 +178,13 @@ def block_entropy(bd: BlockDensity, tol: Tolerances = DEFAULT_TOL) -> float:
 
 def identity_channel(dim: int) -> ReductionChannel:
     """Single full block; the reduction is the state itself."""
-    if dim < 1:
-        raise ValidationError(f"dimension must be positive, got {dim}")
+    dim = _require_int("dimension", dim, 1)
     return ReductionChannel(dim, (dim,), ((0, np.eye(dim)),))
 
 
 def diagonal_pinching(dim: int) -> ReductionChannel:
     """One 1-dimensional block per basis vector; reduces to the diagonal."""
-    if dim < 2:
-        raise ValidationError(f"diagonal pinching needs dimension >= 2, got {dim}")
+    dim = _require_int("diagonal pinching dimension", dim, 2)
     eye = np.eye(dim)
     terms = tuple((k, eye[k : k + 1, :]) for k in range(dim))
     return ReductionChannel(dim, (1,) * dim, terms)

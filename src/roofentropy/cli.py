@@ -16,6 +16,7 @@ from ``verify``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -55,12 +56,12 @@ __all__ = ["main"]
 
 
 def _tolerances(tol: float | None) -> Tolerances:
-    """The default tolerances, or ``--tol`` spread over every check."""
+    """The default tolerance, or ``--tol``."""
     if tol is None:
         return DEFAULT_TOL
     if not (math.isfinite(tol) and tol > 0):
         raise ValidationError(f"--tol must be finite and positive, got {tol!r}")
-    return Tolerances(herm=tol, trace=tol, norm=tol, psd=tol, support=0.1 * tol)
+    return Tolerances(tol)
 
 
 def _solver_config(ns: argparse.Namespace, base: SolverConfig = SolverConfig()) -> SolverConfig:
@@ -147,7 +148,14 @@ def _cmd_roof(ns: argparse.Namespace) -> dict:
     rho = density_from_json(_load_json(_require_input(ns, "state"), "--state"), tol)
     channel = channel_from_json(_load_json(_require_input(ns, "channel"), "--channel"))
     cfg = _solver_config(ns)
-    result = solve_R(rho, channel, cfg, tol, trace=ns.trace)
+    trace = contextlib.nullcontext()
+    if ns.trace is not None:
+        try:
+            trace = open(ns.trace, "w", encoding="utf-8")
+        except OSError as exc:
+            raise ValidationError(f"--trace: cannot write file {ns.trace!r}: {exc}")
+    with trace as fh:
+        result = solve_R(rho, channel, cfg, tol, trace=fh)
     report = {"command": "roof", "result": roof_result_to_json(result)}
     samples = 10 if ns.samples is None else ns.samples
     cert = affinity_certificate(result, channel, samples=samples, config=cfg)

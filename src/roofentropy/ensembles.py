@@ -28,13 +28,13 @@ MERGE_TOL = 1e-9       # max-entry distance at which members merge
 class Ensemble:
     """Weights summing to one paired with density operators of equal dimension.
 
-    Its validation tolerances also govern `convex_sum`, `shorten` and `mutual_entropy`.
+    Its validation tolerance also governs `convex_sum`, `shorten` and `mutual_entropy`.
     """
 
     weights: np.ndarray
     states: tuple
     tol: dataclasses.InitVar[Tolerances] = DEFAULT_TOL
-    # the validation tolerances, kept for what is derived from the ensemble
+    # the validation tolerance, kept for what is derived from the ensemble
     _tol: Tolerances = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self, tol: Tolerances):
@@ -43,10 +43,10 @@ class Ensemble:
             raise ValidationError("ensemble needs at least one member")
         if w.size != len(self.states):
             raise ValidationError(f"{w.size} weights vs {len(self.states)} states")
-        if float(w.min()) < -tol.trace:
+        if float(w.min()) < -tol.value:
             raise ValidationError(f"negative weight {float(w.min()):.3e}")
         total = float(w.sum())
-        if abs(total - 1.0) > tol.trace:
+        if abs(total - 1.0) > tol.value:
             raise ValidationError(f"weights sum to {total!r}, expected 1")
         states = tuple(_coerce(s, DensityOperator, tol) for s in self.states)
         dims = {s.dim for s in states}
@@ -75,7 +75,7 @@ def pure_ensemble(weights, vectors: Sequence[np.ndarray], tol: Tolerances = DEFA
 
 
 def convex_sum(ensemble: Ensemble) -> DensityOperator:
-    """The mixture sum_j p_j rho_j, validated under the ensemble's tolerances."""
+    """The mixture sum_j p_j rho_j, validated under the ensemble's tolerance."""
     total = np.zeros((ensemble.dim, ensemble.dim), dtype=complex)
     for p, rho in ensemble.members():
         total += p * rho.matrix
@@ -85,9 +85,9 @@ def convex_sum(ensemble: Ensemble) -> DensityOperator:
 def shorten(ensemble: Ensemble) -> Ensemble:
     """Drop negligible members and merge duplicates by adding weights.
 
-    Keeps the convex sum unchanged to well below validation tolerances; the
+    Keeps the convex sum unchanged to well below the validation tolerance; the
     first occurrence of a duplicate state is kept as the representative.
-    The result is validated under the ensemble's tolerances.
+    The result is validated under the ensemble's tolerance.
     """
     kept_w: list[float] = []
     kept_s: list[DensityOperator] = []
@@ -116,7 +116,7 @@ def mutual_entropy(ensemble: Ensemble, channel: ReductionChannel, form: str = "h
         ``"relative"`` computes ``sum_j p_j S(reduce(rho_j), reduce(mix))``
         as a cross-check.  The two agree whenever supports behave, and the
         Holevo form is the numerically stable default.  Both validate under
-        the ensemble's tolerances.
+        the ensemble's tolerance.
     """
     if form not in ("holevo", "relative"):
         raise ValidationError(f"unknown mutual entropy form {form!r}")

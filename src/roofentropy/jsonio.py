@@ -12,7 +12,7 @@ import numpy as np
 
 from .channels import ReductionChannel, block_compression, commutative_channel, diagonal_pinching
 from .ensembles import Ensemble
-from .roof import RoofResult, SolverConfig
+from .roof import RoofResult
 from .states import DEFAULT_TOL, DensityOperator, PureState, Tolerances, ValidationError
 
 __all__ = [
@@ -28,18 +28,17 @@ __all__ = [
     "pure_from_json",
     "block_density_to_json",
     "roof_result_to_json",
-    "solver_config_from_json",
     "round_floats",
 ]
 
 
-def _require_keys(obj: dict, required, optional=(), what="object"):
+def _require_keys(obj: dict, required, what="object"):
     if not isinstance(obj, dict):
         raise ValidationError(f"expected a JSON object for {what}, got {type(obj).__name__}")
     missing = [k for k in required if k not in obj]
     if missing:
         raise ValidationError(f"{what} is missing keys {missing}")
-    unknown = [k for k in obj if k not in required and k not in optional]
+    unknown = [k for k in obj if k not in required]
     if unknown:
         raise ValidationError(f"{what} has unknown keys {unknown}")
 
@@ -178,16 +177,6 @@ def block_density_to_json(bd) -> dict:
         "block_dims": list(bd.block_dims),
         "blocks": [encode_matrix(b) for b in bd.blocks],
     }
-
-
-def solver_config_from_json(data) -> SolverConfig:
-    _require_keys(
-        data,
-        (),
-        ("max_length", "restarts", "seed", "max_iters", "step_tol", "value_tol"),
-        what="solver config",
-    )
-    return SolverConfig(**data)
 
 
 def roof_result_to_json(result: RoofResult) -> dict:

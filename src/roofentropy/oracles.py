@@ -22,6 +22,7 @@ from .states import (
     Tolerances,
     ValidationError,
     _coerce,
+    _require_int,
     binary_entropy,
     canonical_eigh,
 )
@@ -35,35 +36,34 @@ __all__ = [
     "block_example_decomposition",
 ]
 
-DOMAIN_TOL = 1e-12
+DOMAIN_TOL = 1e-12     # how far past 1/2 an off-diagonal magnitude may lie
 ZERO_OVERLAP = 1e-12   # below this an overlap counts as exactly zero
 
 
-def _magnitude(z, domain_tol: float) -> float:
+def _magnitude(z) -> float:
     """``|z|`` of a finite off-diagonal entry inside the qubit domain."""
     mag = abs(complex(z))
     if not math.isfinite(mag):
         raise ValidationError(f"off-diagonal entry {z!r} is not finite")
-    if mag > 0.5 + domain_tol:
+    if mag > 0.5 + DOMAIN_TOL:
         raise ValidationError(f"off-diagonal magnitude {mag!r} outside the domain [0, 1/2]")
     return mag
 
 
-def qubit_R(z, domain_tol: float = DOMAIN_TOL) -> float:
+def qubit_R(z) -> float:
     """Exact roof value of a qubit under the diagonal pinching.
 
     Depends only on the off-diagonal magnitude ``|z|``: with
     ``q = 1/2 + sqrt(1 - 4 |z|^2) / 2`` the value is ``s(q) + s(1 - q)``.
-    Any valid qubit density operator has ``|z| <= 1/2``; larger magnitudes
-    are a domain error.
+    Any valid qubit density operator has ``|z| <= 1/2``; magnitudes beyond
+    ``1/2 + DOMAIN_TOL`` are a domain error.
     """
-    mag = _magnitude(z, domain_tol)
-    mag = min(mag, 0.5)
+    mag = min(_magnitude(z), 0.5)
     q = 0.5 + 0.5 * math.sqrt(max(0.0, 1.0 - 4.0 * mag * mag))
     return binary_entropy(q)
 
 
-def qubit_R_series(z, terms: int, domain_tol: float = DOMAIN_TOL) -> float:
+def qubit_R_series(z, terms: int) -> float:
     """Series form of :func:`qubit_R`: ``ln 2 - sum_k u^k / (2k(2k-1))``.
 
     Here ``u = 1 - 4 |z|^2``.  Partial sums decrease monotonically in
@@ -78,10 +78,8 @@ def qubit_R_series(z, terms: int, domain_tol: float = DOMAIN_TOL) -> float:
     ``1/((2k - 1.5)(2k + 0.5))``; both telescope, giving
     ``1/(4N + 2) < T_N < 1/(4N + 1)``, about ``1.25e-3`` after 200 terms.
     """
-    if terms < 1:
-        raise ValidationError(f"terms must be >= 1, got {terms}")
-    mag = _magnitude(z, domain_tol)
-    u = max(0.0, 1.0 - 4.0 * min(mag, 0.5) ** 2)
+    terms = _require_int("terms", terms, 1)
+    u = max(0.0, 1.0 - 4.0 * min(_magnitude(z), 0.5) ** 2)
     k = np.arange(1, terms + 1, dtype=float)
     return float(math.log(2.0) - np.sum(u**k / (2.0 * k * (2.0 * k - 1.0))))
 

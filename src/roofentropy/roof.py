@@ -15,7 +15,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import numbers
 
 import numpy as np
 
@@ -28,7 +27,7 @@ from .states import (
     ValidationError,
     canonical_eigh,
     _coerce,
-    _require_finite_nonnegative,
+    _require_int,
     _xlnx,
 )
 
@@ -54,6 +53,12 @@ OBJECTIVE_BATCH = 512   # most isometries stacked into one objective_many call
 # stalled these thin products by milliseconds; qubit stacks stay one GEMM.
 GEMM_WORK = 65536
 STEP_CAP = 1.0
+# A restart stops when its step falls below STEP_TOL, or when two accepted
+# steps in a row each gain less than VALUE_TOL.
+STEP_TOL = 1e-10
+VALUE_TOL = 1e-9
+AFFINITY_TOL = 1e-4        # most discrepancy an affinity sample may show
+ZERO_STRUCTURE_TOL = 1e-6  # most residual a block-aligned support vector may show
 
 
 @dataclasses.dataclass(frozen=True)
@@ -71,26 +76,12 @@ class SolverConfig:
     restarts: int = 64
     seed: int = 0
     max_iters: int = 400
-    step_tol: float = 1e-10
-    value_tol: float = 1e-9
 
     def __post_init__(self):
-        for name in ("max_length", "restarts", "seed", "max_iters"):
+        for name, minimum in (("max_length", 1), ("restarts", 1), ("seed", 0), ("max_iters", 1)):
             value = getattr(self, name)
-            if value is None and name == "max_length":
-                continue
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
-        for name in ("step_tol", "value_tol"):
-            _require_finite_nonnegative(name, getattr(self, name))
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
-        if self.restarts < 1:
-            raise ValidationError(f"restarts must be >= 1, got {self.restarts}")
-        if self.max_length is not None and self.max_length < 1:
-            raise ValidationError(f"max_length must be >= 1, got {self.max_length}")
-        if self.max_iters < 1:
-            raise ValidationError(f"max_iters must be >= 1, got {self.max_iters}")
+            if not (name == "max_length" and value is None):
+                object.__setattr__(self, name, _require_int(name, value, minimum))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -114,7 +105,7 @@ class RoofResult:
 def _clean_rank(rho: DensityOperator, tol: Tolerances):
     """Eigenpairs of the state above the positivity cutoff, ascending."""
     w, v = canonical_eigh(rho.matrix, tol)
-    keep = w > tol.psd
+    keep = w > tol.value
     return w[keep], v[:, keep]
 
 
@@ -404,8 +395,8 @@ def _descend(ev: _Evaluator, starts: np.ndarray, cfg: SolverConfig):
         v[j] = trial[rows, pick]
         f[j] = values[rows, pick]
         step[j] = np.minimum(scales[rows, pick] * 2.0, STEP_CAP)
-        stalls[j] = np.where(gain < cfg.value_tol, stalls[j] + 1, 0)
-        done = step[idx] < cfg.step_tol
+        stalls[j] = np.where(gain < VALUE_TOL, stalls[j] + 1, 0)
+        done = step[idx] < STEP_TOL
         done[rows] |= stalls[j] >= 2
         ended = np.concatenate([live[zero], idx[done]])
         converged[ended] = True
@@ -438,12 +429,11 @@ def solve_R(
 
     Parameters
     ----------
-    trace : str or file-like, optional
-        When given, one JSON line per restart is written with the restart
-        index, final value, iteration count, and convergence flag.  The
-        restarts run in lockstep, so the lines are written in restart order
-        once the solve ends.  A string is treated as a path and opened for
-        writing.
+    trace : writable text stream, optional
+        When given, one JSON line per restart is written to it with the
+        restart index, final value, iteration count, and convergence flag.
+        The restarts run in lockstep, so the lines are written in restart
+        order once the solve ends.
 
     Returns
     -------
@@ -452,9 +442,6 @@ def solve_R(
         outcome does not depend on evaluation order.  ``converged`` reports
         the flag of the winning restart.
     """
-    if isinstance(trace, str):
-        with open(trace, "w", encoding="utf-8") as fh:
-            return solve_R(rho, channel, config, tol, trace=fh)
     rho = _coerce(rho, DensityOperator, tol)
     cfg = config if config is not None else SolverConfig()
     if rho.dim != channel.input_dim:
@@ -500,7 +487,7 @@ class AffinityCertificate:
     For random reweightings of the optimal pure states, the roof value of
     the recombined mixture should match the affine prediction
     ``sum_j q_j S(reduce(rho_j))``; ``passed`` requires agreement within
-    ``tolerance`` on every sample.
+    ``tolerance`` (``AFFINITY_TOL``) on every sample.
     """
 
     discrepancies: tuple
@@ -516,11 +503,9 @@ def affinity_certificate(
     channel: ReductionChannel,
     samples: int = 20,
     config: SolverConfig | None = None,
-    tolerance: float = 1e-4,
 ) -> AffinityCertificate:
     """Probe affinity of the roof on the face spanned by the optimal ensemble."""
-    if samples < 1:
-        raise ValidationError(f"samples must be >= 1, got {samples}")
+    samples = _require_int("samples", samples, 1)
     cfg = config if config is not None else SolverConfig()
     members = list(result.optimal_ensemble.members())
     reduced = [block_entropy(reduce_state(channel, rho)) for _, rho in members]
@@ -544,8 +529,8 @@ def affinity_certificate(
         predictions=tuple(predictions),
         resolved=tuple(resolved_values),
         max_discrepancy=max_disc,
-        tolerance=tolerance,
-        passed=max_disc <= tolerance,
+        tolerance=AFFINITY_TOL,
+        passed=max_disc <= AFFINITY_TOL,
     )
 
 
@@ -559,6 +544,8 @@ class ZeroEntropyReport:
     says the vector lies inside a single block range.  The report may fail
     honestly: a vanishing gap does not force block alignment for every
     state, so callers get per-vector flags rather than an exception.
+    A vector passes when its residual is at most ``tolerance``
+    (``ZERO_STRUCTURE_TOL``).
     """
 
     residuals: tuple
@@ -572,7 +559,6 @@ def zero_entropy_structure(
     rho: DensityOperator,
     channel: ReductionChannel,
     result: RoofResult,
-    tolerance: float = 1e-6,
     tol: Tolerances = DEFAULT_TOL,
 ) -> ZeroEntropyReport:
     """Check the support of ``rho`` against the output algebra when H is zero."""
@@ -600,11 +586,11 @@ def zero_entropy_structure(
             overlap = complex(np.vdot(vec, image))
             worst = max(worst, float(np.linalg.norm(image - overlap * vec)))
         residuals.append(worst)
-    flags = tuple(res <= tolerance for res in residuals)
+    flags = tuple(res <= ZERO_STRUCTURE_TOL for res in residuals)
     return ZeroEntropyReport(
         residuals=tuple(residuals),
         vector_passed=flags,
         generator_count=len(generators),
-        tolerance=tolerance,
+        tolerance=ZERO_STRUCTURE_TOL,
         passed=all(flags),
     )

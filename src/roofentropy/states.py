@@ -29,48 +29,50 @@ __all__ = [
     "binary_entropy",
 ]
 
+BINARY_DOMAIN_TOL = 1e-9  # how far outside [0, 1] a binary_entropy argument may lie
+
 
 class ValidationError(ValueError):
     """An input failed one of its structural invariants."""
 
 
-def _require_finite_nonnegative(label: str, value) -> None:
-    """Reject anything but a finite real ``value >= 0``; bools are rejected too."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not (math.isfinite(value) and value >= 0)):
-        raise ValidationError(f"{label} must be finite and >= 0, got {value!r}")
+def _require_int(label: str, value, minimum: int) -> int:
+    """``value`` as an ``int``: an integer (numpy ones too, not bools) ``>= minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{label} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValidationError(f"{label} must be >= {minimum}, got {value}")
+    return int(value)
 
 
 @dataclasses.dataclass(frozen=True)
 class Tolerances:
-    """Validation and support-detection cutoffs shared across the package.
+    """The validation cutoff shared across the package.
 
     Attributes
     ----------
-    herm : float
-        Largest allowed entry of ``|M - M^dag|`` before a matrix is rejected
-        as non-Hermitian.
-    trace : float
-        Allowed deviation of a density operator's trace from one.
-    norm : float
-        Allowed deviation of a pure state vector's norm from one.
-    psd : float
-        Eigenvalues in ``[-psd, 0]`` are clipped to zero; anything below
-        ``-psd`` is an error.
+    value : float
+        The largest allowed Hermiticity defect (max entry of
+        ``|M - M^dag|``), deviation of a trace, weight sum or vector norm
+        from one, and negative eigenvalue: eigenvalues in ``[-value, 0]``
+        are clipped to zero, anything below is an error.
     support : float
-        Spectral cutoff defining the support of the second argument in
-        ``relative_entropy``.
+        ``value / 10``, the spectral cutoff defining the support of the
+        second argument in ``relative_entropy`` and the weight at or below
+        which a subalgebra outcome is dropped.
     """
 
-    herm: float = 1e-9
-    trace: float = 1e-9
-    norm: float = 1e-9
-    psd: float = 1e-9
-    support: float = 1e-10
+    value: float = 1e-9
 
     def __post_init__(self):
-        for field in dataclasses.fields(self):
-            _require_finite_nonnegative(f"tolerance {field.name}", getattr(self, field.name))
+        v = self.value
+        if (isinstance(v, bool) or not isinstance(v, numbers.Real)
+                or not (math.isfinite(v) and v >= 0)):
+            raise ValidationError(f"tolerance must be finite and >= 0, got {v!r}")
+
+    @property
+    def support(self) -> float:
+        return self.value / 10
 
 
 DEFAULT_TOL = Tolerances()
@@ -96,15 +98,15 @@ def hermiticity_defect(m) -> float:
 
 
 def _checked_hermitian(m, tol: Tolerances, subject: str) -> np.ndarray:
-    """Hermitized copy of a finite nonempty square matrix within ``tol.herm``.
+    """Hermitized copy of a finite nonempty square matrix within ``tol.value``.
 
     ``subject`` names the matrix in error messages, e.g. ``"block 2"``.
     """
     a = _as_square_matrix(m, subject)
     defect = _max_asymmetry(a)
-    if defect > tol.herm:
+    if defect > tol.value:
         raise ValidationError(
-            f"{subject} not Hermitian: max asymmetry {defect:.3e} exceeds {tol.herm:.3e}"
+            f"{subject} not Hermitian: max asymmetry {defect:.3e} exceeds {tol.value:.3e}"
         )
     return 0.5 * (a + a.conj().T)
 
@@ -119,12 +121,12 @@ def _checked_psd(m, tol: Tolerances, subject: str, unit_trace: bool = False):
     a = _checked_hermitian(m, tol, subject)
     if unit_trace:
         tr = float(np.trace(a).real)
-        if abs(tr - 1.0) > tol.trace:
-            raise ValidationError(f"{subject} trace {tr!r} deviates from 1 beyond {tol.trace:.3e}")
+        if abs(tr - 1.0) > tol.value:
+            raise ValidationError(f"{subject} trace {tr!r} deviates from 1 beyond {tol.value:.3e}")
     w = np.linalg.eigvalsh(a)
     lo = float(w[0])
-    if lo < -tol.psd:
-        raise ValidationError(f"{subject} has negative eigenvalue {lo:.3e} below -{tol.psd:.3e}")
+    if lo < -tol.value:
+        raise ValidationError(f"{subject} has negative eigenvalue {lo:.3e} below -{tol.value:.3e}")
     a.setflags(write=False)
     w.setflags(write=False)
     return a, w
@@ -137,7 +139,7 @@ def eigh(m, tol: Tolerances = DEFAULT_TOL):
     ----------
     m : array_like
         Nonempty square matrix; rejected if its hermiticity defect exceeds
-        ``tol.herm``.
+        ``tol.value``.
 
     Returns
     -------
@@ -239,8 +241,8 @@ class PureState:
         if not np.isfinite(v).all():
             raise ValidationError("state vector has non-finite entries")
         nrm = float(np.linalg.norm(v))
-        if abs(nrm - 1.0) > tol.norm:
-            raise ValidationError(f"state vector norm {nrm!r} deviates from 1 beyond {tol.norm:.3e}")
+        if abs(nrm - 1.0) > tol.value:
+            raise ValidationError(f"state vector norm {nrm!r} deviates from 1 beyond {tol.value:.3e}")
         v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "vector", v)
@@ -274,11 +276,11 @@ def _xlnx(x, out: np.ndarray | None = None, scratch: np.ndarray | None = None) -
 
 
 def entropy_of_spectrum(values, tol: Tolerances = DEFAULT_TOL) -> float:
-    """Sum of -x ln x over a spectrum; values below ``-tol.psd`` are rejected."""
+    """Sum of -x ln x over a spectrum; values below ``-tol.value`` are rejected."""
     w = np.asarray(values, dtype=float)
-    if w.size and float(w.min()) < -tol.psd:
+    if w.size and float(w.min()) < -tol.value:
         raise ValidationError(
-            f"spectrum has negative value {float(w.min()):.3e} below -{tol.psd:.3e}"
+            f"spectrum has negative value {float(w.min()):.3e} below -{tol.value:.3e}"
         )
     return float(np.sum(_xlnx(w)))
 
@@ -292,7 +294,7 @@ def _coerce(value, cls, tol: Tolerances):
     """``value`` if it is already a ``cls``, else ``cls(value, tol)``.
 
     ``cls`` is :class:`DensityOperator` or :class:`PureState`; a raw array is
-    validated under the caller's tolerances.
+    validated under the caller's tolerance.
     """
     return value if isinstance(value, cls) else cls(value, tol)
 
@@ -327,10 +329,12 @@ def relative_entropy(rho, sigma, tol: Tolerances = DEFAULT_TOL) -> float:
     return -von_neumann_entropy(rho, tol) - cross
 
 
-def binary_entropy(q: float, tol: float = 1e-9) -> float:
-    """s(q) + s(1-q) with s(x) = -x ln x, for q in [0, 1] within ``tol``."""
+def binary_entropy(q: float) -> float:
+    """s(q) + s(1-q) with s(x) = -x ln x, for q in [0, 1] within ``BINARY_DOMAIN_TOL``."""
     q = float(q)
-    if q < -tol or q > 1.0 + tol:
-        raise ValidationError(f"binary entropy argument {q!r} outside [0, 1] beyond {tol:.3e}")
+    if q < -BINARY_DOMAIN_TOL or q > 1.0 + BINARY_DOMAIN_TOL:
+        raise ValidationError(
+            f"binary entropy argument {q!r} outside [0, 1] beyond {BINARY_DOMAIN_TOL:.3e}"
+        )
     q = min(max(q, 0.0), 1.0)
     return float(_xlnx(np.array([q, 1.0 - q])).sum())

@@ -48,6 +48,7 @@ from .sampling import (
 from .states import (
     DensityOperator,
     ValidationError,
+    _require_int,
     relative_entropy,
     shannon_entropy,
     von_neumann_entropy,
@@ -466,10 +467,8 @@ CHECKS = (
 
 def run_verify(seed: int = 0, samples: int = 1, solver: SolverConfig | None = None) -> dict:
     """Run the invariant suite; returns a JSON-ready deterministic report."""
-    if samples < 1:
-        raise ValidationError(f"samples must be >= 1, got {samples}")
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
+    samples = _require_int("samples", samples, 1)
+    seed = _require_int("seed", seed, 0)
     cfg = solver if solver is not None else dataclasses.replace(VERIFY_SOLVER, seed=seed)
     results = []
     failed = 0

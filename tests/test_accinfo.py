@@ -226,6 +226,13 @@ class TestBenattiBracket:
                 DensityOperator(RHO), DIAG_PROJS, FAST, measurement_samples=-5
             )
 
+    @pytest.mark.parametrize("samples", [2.5, True])
+    def test_samples_must_be_an_integer(self, samples):
+        with pytest.raises(ValidationError, match="measurement_samples must be an integer"):
+            benatti_bracket(
+                DensityOperator(RHO), DIAG_PROJS, FAST, measurement_samples=samples
+            )
+
     def test_batched_haar_draw_matches_sequential(self):
         for dim in (1, 2, 3, 5):
             batch = _haar_unitaries(7, dim, np.random.default_rng([3, 104729]))

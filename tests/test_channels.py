@@ -48,6 +48,31 @@ class TestReductionChannel:
         with pytest.raises(ValidationError, match="non-finite"):
             ReductionChannel(2, (1, 1), ((0, [[1.0, np.nan]]), (1, [[0.0, 1.0]])))
 
+    @pytest.mark.parametrize(
+        "args,named",
+        [
+            ((2, (1.9, 1), ((0, [[1.0, 0.0]]), (1, [[0.0, 1.0]]))), r"block_dims\[0\]"),
+            ((2, (True, 1), ((0, [[1.0, 0.0]]), (1, [[0.0, 1.0]]))), r"block_dims\[0\]"),
+            ((2.0, (1, 1), ((0, [[1.0, 0.0]]), (1, [[0.0, 1.0]]))), "input_dim"),
+            ((2, (1, 1), ((0, [[1.0, 0.0]]), (1.0, [[0.0, 1.0]]))), "Kraus term block"),
+        ],
+        ids=["fractional-block-dim", "bool-block-dim", "float-input-dim", "float-block-index"],
+    )
+    def test_dimensions_and_block_indices_must_be_integers(self, args, named):
+        with pytest.raises(ValidationError, match=named + " must be an integer"):
+            ReductionChannel(*args)
+
+    def test_numpy_integers_accepted(self):
+        i = np.int64
+        ch = ReductionChannel(i(2), (i(1), i(1)), ((i(0), [[1.0, 0.0]]), (i(1), [[0.0, 1.0]])))
+        assert (ch.input_dim, ch.block_dims) == (2, (1, 1))
+        assert type(ch.input_dim) is int and [type(b) for b, _ in ch.kraus] == [int, int]
+
+    @pytest.mark.parametrize("make", [identity_channel, diagonal_pinching])
+    def test_constructors_take_integer_dimensions(self, make):
+        with pytest.raises(ValidationError, match="dimension must be an integer"):
+            make(2.0)
+
     def test_output_dim(self):
         ch = diagonal_pinching(3)
         assert ch.block_count == 3

@@ -6,7 +6,7 @@ import pytest
 
 import roofentropy.cli as cli
 import roofentropy.verify as verify
-from roofentropy import SolverConfig, ValidationError, channel_to_json, diagonal_pinching
+from roofentropy import SolverConfig, Tolerances, ValidationError, channel_to_json, diagonal_pinching
 from roofentropy.cli import main
 from roofentropy.verify import VERIFY_SOLVER
 
@@ -90,8 +90,8 @@ class TestFlagHelpers:
 
     def test_tol_spreads_to_all_checks(self):
         t = cli._tolerances(1e-6)
-        assert t.herm == t.trace == t.norm == t.psd == 1e-6
-        assert t.support == pytest.approx(1e-7)
+        assert t == Tolerances(1e-6)
+        assert t.support == 1e-6 / 10
 
     def test_solver_overrides(self):
         argv = ["roof", "--seed", "5", "--restarts", "2", "--max-iters", "50"]
@@ -369,6 +369,7 @@ class TestVerifyCommand:
         report = run_json(capsys, "verify", "--seed", "7", "--max-iters", "20")
         expected = dataclasses.replace(VERIFY_SOLVER, seed=7, max_iters=20)
         assert report["solver"] == dataclasses.asdict(expected)
+        assert set(report["solver"]) == {"max_length", "restarts", "seed", "max_iters"}
         assert report["solver"]["restarts"] == VERIFY_SOLVER.restarts
         report = run_json(capsys, "verify", "--seed", "3")
         assert report["solver"] == dataclasses.asdict(dataclasses.replace(VERIFY_SOLVER, seed=3))
@@ -418,6 +419,15 @@ class TestErrorPaths:
         status, _, err = run_main(capsys, "entropy", "--state", "/no/such/file.json")
         assert status == 1
         assert "cannot read file" in err
+
+    def test_unwritable_trace_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "no" / "such" / "dir" / "trace.jsonl"
+        status, out, err = run_main(
+            capsys, "roof", "--state", RHO, "--channel", DIAG2, "--trace", str(path)
+        )
+        assert status == 1
+        assert out == ""
+        assert err.startswith("error: --trace: cannot write file")
 
     def test_malformed_json_reports_position(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

@@ -154,7 +154,7 @@ class TestMutualEntropy:
 
 
 class TestEnsembleTolerances:
-    LOOSE = Tolerances(herm=1e-3, trace=1e-3, norm=1e-3, psd=1e-3, support=1e-4)
+    LOOSE = Tolerances(1e-3)
     # trace 1.00005: inside LOOSE, outside the defaults
     DRIFTED = np.diag([0.40005, 0.35, 0.25])
 

@@ -7,7 +7,6 @@ from roofentropy import (
     DensityOperator,
     Ensemble,
     PureState,
-    SolverConfig,
     ValidationError,
     block_compression,
     channel_from_json,
@@ -23,7 +22,6 @@ from roofentropy import (
     ensemble_to_json,
     pure_from_json,
     round_floats,
-    solver_config_from_json,
 )
 
 
@@ -192,30 +190,6 @@ class TestChannels:
         data = dict(channel_to_json(diagonal_pinching(2)), **{field: {"0": 1}})
         with pytest.raises(ValidationError, match=field + " must be an array"):
             channel_from_json(data)
-
-
-class TestSolverConfig:
-    def test_defaults(self):
-        cfg = solver_config_from_json({})
-        assert cfg == SolverConfig()
-
-    def test_overrides(self):
-        cfg = solver_config_from_json({"restarts": 3, "seed": 7})
-        assert cfg.restarts == 3
-        assert cfg.seed == 7
-
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ValidationError, match="unknown keys"):
-            solver_config_from_json({"iterations": 10})
-
-    @pytest.mark.parametrize(
-        "data",
-        [{"restarts": 2.5}, {"restarts": "3"}, {"max_iters": 10.0}, {"seed": -1},
-         {"value_tol": float("inf")}, {"step_tol": float("nan")}, {"step_tol": None}],
-    )
-    def test_bad_values_rejected(self, data):
-        with pytest.raises(ValidationError, match=next(iter(data))):
-            solver_config_from_json(data)
 
 
 class TestRoundFloats:

@@ -95,6 +95,11 @@ class TestQubitSeries:
         with pytest.raises(ValidationError):
             qubit_R_series(0.3, 0)
 
+    @pytest.mark.parametrize("terms", [2.5, True])
+    def test_terms_must_be_an_integer(self, terms):
+        with pytest.raises(ValidationError, match="terms must be an integer"):
+            qubit_R_series(0.3, terms)
+
     def test_domain_error(self):
         with pytest.raises(ValidationError):
             qubit_R_series(0.6, 10)

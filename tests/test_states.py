@@ -25,20 +25,45 @@ from roofentropy.sampling import ginibre_density, random_pinching
 from roofentropy.states import DEFAULT_TOL, canonical_eigh, eigh, entropy_of_spectrum
 
 LN2 = 0.6931471805599453
-LOOSE = Tolerances(herm=1e-3, trace=1e-3, norm=1e-3, psd=1e-3, support=1e-4)
+LOOSE = Tolerances(1e-3)
+
+# Every check the one tolerance value governs, each fed an input 5e-4 off:
+# inside LOOSE, outside the default. The support check drops sigma's 5e-5
+# eigenvalue at a tenth of LOOSE (an infinite entropy) but not at the
+# default; the others raise the named error.
+CHECKS = {
+    "herm": (lambda tol: DensityOperator([[0.5, 5e-4], [0.0, 0.5]], tol), "not Hermitian"),
+    "trace": (lambda tol: DensityOperator(np.diag([0.5005, 0.5]), tol), "trace"),
+    "norm": (lambda tol: PureState([1.0005, 0.0], tol), "norm"),
+    "psd": (lambda tol: DensityOperator(np.diag([1.0005, -5e-4]), tol), "negative eigenvalue"),
+    "support": (lambda tol: relative_entropy(np.eye(2) / 2, np.diag([1.0 - 5e-5, 5e-5]), tol), None),
+}
 
 
 class TestTolerances:
     def test_default_and_loose_build(self):
-        assert Tolerances() == DEFAULT_TOL
-        assert LOOSE.herm == 1e-3
-        Tolerances(herm=0.0, trace=np.float64(1e-6))
+        assert Tolerances() == DEFAULT_TOL == Tolerances(1e-9)
+        assert (DEFAULT_TOL.support, LOOSE.support) == (1e-10, 1e-4)
+        Tolerances(0.0)
+        Tolerances(np.float64(1e-6))
 
-    @pytest.mark.parametrize("field", ["herm", "trace", "norm", "psd", "support"])
-    def test_rejects_non_finite_negative_and_bool(self, field):
-        for bad in (math.nan, math.inf, -1e-9, True):
-            with pytest.raises(ValidationError, match=f"tolerance {field} must be finite"):
-                Tolerances(**{field: bad})
+    @pytest.mark.parametrize("check", sorted(CHECKS))
+    def test_rejects_non_finite_negative_and_bool(self, check):
+        build, _ = CHECKS[check]
+        for bad in (math.nan, math.inf, -1e-9, True, "1e-9"):
+            with pytest.raises(ValidationError, match="tolerance must be finite"):
+                build(Tolerances(bad))
+
+    @pytest.mark.parametrize("check", sorted(CHECKS))
+    def test_value_governs_every_check(self, check):
+        build, named = CHECKS[check]
+        if named is None:
+            assert build(LOOSE) == math.inf
+            assert math.isfinite(build(DEFAULT_TOL))
+        else:
+            build(LOOSE)
+            with pytest.raises(ValidationError, match=named):
+                build(DEFAULT_TOL)
 
 
 # One malformed input per check, fed to every operator that validates.
