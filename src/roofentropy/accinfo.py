@@ -113,10 +113,10 @@ def ensemble_from_subalgebra(
             continue
         member = root @ q @ root / p
         weights.append(p)
-        states.append(DensityOperator(member))
+        states.append(DensityOperator(member, tol))
     if not states:
         raise ValidationError("every outcome carries zero weight")
-    return Ensemble(np.array(weights), tuple(states))
+    return Ensemble(np.array(weights), tuple(states), tol)
 
 
 def channel_from_measurement(measurement: Measurement) -> ReductionChannel:

@@ -43,7 +43,13 @@ from .oracles import (
     qubit_R,
     qubit_R_series,
 )
-from .roof import SolverConfig, affinity_certificate, solve_R, zero_entropy_structure
+from .roof import (
+    ZERO_ENTROPY_H,
+    SolverConfig,
+    affinity_certificate,
+    solve_R,
+    zero_entropy_structure,
+)
 from .states import (
     DEFAULT_TOL,
     Tolerances,
@@ -165,7 +171,7 @@ def _cmd_roof(ns: argparse.Namespace) -> dict:
         "tolerance": cert.tolerance,
         "passed": cert.passed,
     }
-    if result.value_H <= 1e-6:
+    if result.value_H <= ZERO_ENTROPY_H:
         zero = zero_entropy_structure(rho, channel, result, tol=tol)
         report["zero_entropy"] = {
             "residuals": list(zero.residuals),

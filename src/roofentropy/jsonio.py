@@ -161,15 +161,11 @@ def channel_from_json(data) -> ReductionChannel:
         if not isinstance(data[key], list):
             raise ValidationError(f"channel {key} must be an array, got {type(data[key]).__name__}")
     terms = []
-    for i, t in enumerate(data["kraus"]):
+    for t in data["kraus"]:
         _require_keys(t, ("block", "matrix"), what="Kraus term")
-        terms.append((_decode_int(t["block"], f"kraus[{i}] block"),
-                      decode_matrix(t["matrix"], "Kraus matrix")))
-    return ReductionChannel(
-        _decode_int(data["input_dim"], "channel input_dim"),
-        tuple(_decode_int(d, f"channel block_dims[{i}]") for i, d in enumerate(data["block_dims"])),
-        tuple(terms),
-    )
+        terms.append((t["block"], decode_matrix(t["matrix"], "Kraus matrix")))
+    # ReductionChannel checks the integer fields.
+    return ReductionChannel(data["input_dim"], tuple(data["block_dims"]), tuple(terms))
 
 
 def block_density_to_json(bd) -> dict:

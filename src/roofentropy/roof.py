@@ -8,6 +8,13 @@ forward-difference gradient of the objective composed with the QR
 retraction, so iterates stay on the manifold.  The restarts run in lockstep
 as one stack of isometries; each keeps its own step and stopping rule and
 leaves the stack when it stops.
+
+The line search tries the two longest steps of its halving ladder first and
+the shorter ones only for restarts those did not improve.  Objective calls
+take at most ``OBJECTIVE_ROWS`` isometry rows each.  Inside a call, sums
+over short trailing axes run as whole-stack adds in the order numpy's own
+reduction uses, so every value is bit for bit what ``np.sum`` and
+``np.add.reduceat`` give.
 """
 
 from __future__ import annotations
@@ -46,8 +53,18 @@ __all__ = [
 ISOMETRY_TOL = 1e-10
 FD_STEP = 1e-7          # forward-difference step on the ambient parameters
 INITIAL_STEP = 0.25
-LADDER = 8              # step-halving candidates evaluated per line search
-OBJECTIVE_BATCH = 512   # most isometries stacked into one objective_many call
+LADDER = 8              # step-halving candidates per line search
+# Rungs evaluated for every restart before the rest of the ladder.  Rung 0 is
+# twice the last accepted step and rung 1 that step itself, and one of the two
+# is accepted in most steps, so rungs 2 onward are evaluated only for the
+# restarts that neither improves.
+FIRST_RUNGS = 2
+# Most isometry rows (isometries x m) stacked into one objective_many call.
+OBJECTIVE_ROWS = 8192
+# numpy sums a trailing axis of fewer floats strictly in order (a complex
+# entry is two floats); from this length on it sums pairwise, and such axes
+# keep numpy's own reduction.
+SHORT_AXIS = 8
 # Most multiply-adds in one GEMM of objective_many.  OpenBLAS hands larger
 # products to its thread pool, and with default threads that hand-off
 # stalled these thin products by milliseconds; qubit stacks stay one GEMM.
@@ -58,6 +75,7 @@ STEP_CAP = 1.0
 STEP_TOL = 1e-10
 VALUE_TOL = 1e-9
 AFFINITY_TOL = 1e-4        # most discrepancy an affinity sample may show
+ZERO_ENTROPY_H = 1e-6      # value_H at or below which H counts as zero
 ZERO_STRUCTURE_TOL = 1e-6  # most residual a block-aligned support vector may show
 
 
@@ -153,6 +171,41 @@ def roof_objective(ensemble: Ensemble, channel: ReductionChannel) -> float:
     return total
 
 
+def _row_sum(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``x.sum(axis=-1, out=out)``, bit for bit, as whole-stack adds on a short axis.
+
+    numpy sums an axis of fewer than ``SHORT_AXIS`` floats from +0.0 left to
+    right, ``((0 + x0) + x1) + ...``; one add per entry does the same over
+    the whole stack at once.
+    """
+    width = x.shape[-1]
+    if width * (2 if np.iscomplexobj(x) else 1) >= SHORT_AXIS:
+        return x.sum(axis=-1, out=out)
+    np.add(x[..., 0], 0.0, out=out)
+    for j in range(1, width):
+        np.add(out, x[..., j], out=out)
+    return out
+
+
+def _segment_sum(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``np.add.reduceat(x, [0], axis=-1)[..., 0]`` into ``out``, bit for bit.
+
+    ``reduceat`` copies a segment's first entry and adds the sum of the rest,
+    which for a short segment is taken in order: ``x0 + ((x1 + x2) + ...)``.
+    """
+    width = x.shape[-1]
+    if width >= SHORT_AXIS:
+        np.add.reduceat(x, np.zeros(1, dtype=np.intp), axis=-1, out=out[..., None])
+    elif width == 1:
+        np.copyto(out, x[..., 0])
+    else:
+        rest = x[..., 1] if width == 2 else np.add(x[..., 1], x[..., 2], out=out)
+        for j in range(3, width):
+            np.add(out, x[..., j], out=out)
+        np.add(x[..., 0], rest, out=out)
+    return out
+
+
 def _pair_entropy(g00: np.ndarray, g11: np.ndarray, g01: np.ndarray, out=None) -> np.ndarray:
     """Sum of -x ln x over the spectra of a stack of 2x2 Hermitian matrices.
 
@@ -203,7 +256,7 @@ class _Evaluator:
         for b, k in channel.kraus:
             per_block[b].append(k)
         norm_rows: list[np.ndarray] = []
-        norm_starts: list[int] = []
+        norm_segments: list[tuple[int, int]] = []  # (start, width) of each norm block
         at = 0
         pair_specs = []  # (start, d) after the norm section: two Kraus terms
         gram_specs = []  # (list of starts after the norm section, d): three or more
@@ -215,10 +268,10 @@ class _Evaluator:
                 continue
             d = channel.block_dims[b]
             if d == 1 or len(ops) == 1:
-                norm_starts.append(at)
-                for k in ops:
-                    norm_rows.append(k)
-                    at += k.shape[0]
+                width = sum(k.shape[0] for k in ops)
+                norm_segments.append((at, width))
+                norm_rows.extend(ops)
+                at += width
             else:
                 spans = []
                 for k in ops:
@@ -230,7 +283,7 @@ class _Evaluator:
                 else:
                     gram_specs.append((spans, d))
         self.norm_count = at
-        self.norm_starts = np.array(norm_starts, dtype=np.intp)
+        self.norm_segments = norm_segments
         self.pair_specs = pair_specs
         self.gram_specs = gram_specs
         stacked = norm_rows + gram_rows
@@ -256,8 +309,12 @@ class _Evaluator:
         Both products run as GEMMs over the flattened (batch * m) rows, in
         row blocks of at most ``GEMM_WORK`` multiply-adds.  Rows do not mix,
         so every slice gets the same arithmetic whatever the batch size.
-        The returned array is new; only the intermediates live in the work
-        arrays.
+        Sums over a short trailing axis (a norm block's columns, a pair
+        block's entries, a member's weight) run as one add per entry over
+        the whole stack, in the order numpy's reduction takes, so they are
+        bit for bit ``np.add.reduceat`` and ``np.sum``; longer axes keep
+        numpy's pairwise reduction.  The returned array is new; only the
+        intermediates live in the work arrays.
         """
         batch, m, r = isometries.shape
         rows = isometries.reshape(batch * m, r)
@@ -270,22 +327,21 @@ class _Evaluator:
             np.matmul(phi[at : at + step], self.kraus_t, out=a[at : at + step])
         phi, a = phi.reshape(batch, m, n), a.reshape(batch, m, width)
         nu = self._abs2("nu", a)
-        norm_part = np.add.reduceat(
-            nu[..., : self.norm_count], self.norm_starts, axis=-1,
-            out=self.work("norm", (batch, m, self.norm_starts.size)),
-        )
+        norm_part = self.work("norm", (batch, m, len(self.norm_segments)))
+        for i, (s, w) in enumerate(self.norm_segments):
+            _segment_sum(nu[..., s : s + w], out=norm_part[..., i])
         total = _xlnx(norm_part, out=norm_part, scratch=self.work("ln", norm_part.shape)).sum(
             axis=(-1, -2)
         )
         for s, d in self.pair_specs:
             at = self.norm_count + s
-            g00 = nu[..., at : at + d].sum(axis=-1, out=self.work("g00", (batch, m)))
-            g11 = nu[..., at + d : at + 2 * d].sum(axis=-1, out=self.work("g11", (batch, m)))
+            g00 = _row_sum(nu[..., at : at + d], out=self.work("g00", (batch, m)))
+            g11 = _row_sum(nu[..., at + d : at + 2 * d], out=self.work("g11", (batch, m)))
             prod = np.conjugate(a[..., at : at + d], out=self.work("prod", (batch, m, d), complex))
             np.multiply(prod, a[..., at + d : at + 2 * d], out=prod)
-            g01 = prod.sum(axis=-1, out=self.work("g01", (batch, m), complex))
+            g01 = _row_sum(prod, out=self.work("g01", (batch, m), complex))
             pair = _pair_entropy(g00, g11, g01, out=self.work("pair", (3, batch, m)))
-            total += pair.sum(axis=-1)
+            total += _row_sum(pair, out=self.work("pair_sum", (batch,)))
         for spans, d in self.gram_specs:
             cols = [a[..., self.norm_count + s : self.norm_count + s + d] for s in spans]
             shape = (batch, m, len(spans), d)
@@ -297,13 +353,18 @@ class _Evaluator:
             )
             eigs = np.linalg.eigvalsh(gram)
             total += _xlnx(eigs, out=eigs).sum(axis=(-1, -2))
-        p = self._abs2("phi2", phi).sum(axis=-1, out=self.work("p", (batch, m)))
-        return total - _xlnx(p, out=p, scratch=self.work("ln", p.shape)).sum(axis=-1)
+        p = _row_sum(self._abs2("phi2", phi), out=self.work("p", (batch, m)))
+        ent = _xlnx(p, out=p, scratch=self.work("ln", p.shape))
+        return total - _row_sum(ent, out=np.empty(batch))
 
     def _abs2(self, name: str, z: np.ndarray) -> np.ndarray:
-        """``z.real**2 + z.imag**2`` in work array ``name``."""
-        out = np.square(z.real, out=self.work(name, z.shape))
-        return np.add(out, np.square(z.imag, out=self.work("sq", z.shape)), out=out)
+        """``z.real**2 + z.imag**2`` in work array ``name``.
+
+        The interleaved float view of ``z`` is squared once; its even and
+        odd lanes are then the real and imaginary squares.
+        """
+        sq = np.square(z.view(float), out=self.work("sq", z.shape[:-1] + (2 * z.shape[-1],)))
+        return np.add(sq[..., 0::2], sq[..., 1::2], out=self.work(name, z.shape))
 
 
 def _retract(a: np.ndarray) -> np.ndarray:
@@ -325,8 +386,8 @@ def _fd_gradient(ev: _Evaluator, v: np.ndarray, f0: np.ndarray) -> np.ndarray:
 
     ``v`` is a stack of isometries, shape (k, m, r), and ``f0`` their
     objective values.  The 2·m·r perturbed copies of each are built and
-    evaluated in chunks of whole restarts, at most ``OBJECTIVE_BATCH``
-    isometries each; only a restart with more copies than that is split.
+    evaluated in chunks of whole restarts, at most ``OBJECTIVE_ROWS`` rows
+    (copies x m) each; only a restart with more copies than that is split.
     Each chunk's copies are gathered into one of the evaluator's work
     arrays, and only the bumped entry of each copy is then added to: a
     broadcast add would turn its -0.0 entries into +0.0, which flips the
@@ -337,7 +398,8 @@ def _fd_gradient(ev: _Evaluator, v: np.ndarray, f0: np.ndarray) -> np.ndarray:
     flat = v.reshape(k, count)
     span = 2 * count
     total = span * k
-    chunk = OBJECTIVE_BATCH // span * span or OBJECTIVE_BATCH
+    per_call = max(1, OBJECTIVE_ROWS // m)
+    chunk = per_call // span * span or per_call
     values = np.empty(total)
     for at in range(0, total, chunk):
         own, col = np.divmod(np.arange(at, min(at + chunk, total)), span)
@@ -350,10 +412,11 @@ def _fd_gradient(ev: _Evaluator, v: np.ndarray, f0: np.ndarray) -> np.ndarray:
 
 
 def _objective_stack(ev: _Evaluator, v: np.ndarray) -> np.ndarray:
-    """Objective of a stack of isometries, at most ``OBJECTIVE_BATCH`` per call."""
+    """Objective of a stack of isometries, at most ``OBJECTIVE_ROWS`` rows per call."""
+    per_call = max(1, OBJECTIVE_ROWS // v.shape[1])
     values = np.empty(len(v))
-    for at in range(0, len(v), OBJECTIVE_BATCH):
-        values[at : at + OBJECTIVE_BATCH] = ev.objective_many(v[at : at + OBJECTIVE_BATCH])
+    for at in range(0, len(v), per_call):
+        values[at : at + per_call] = ev.objective_many(v[at : at + per_call])
     return values
 
 
@@ -362,7 +425,11 @@ def _descend(ev: _Evaluator, starts: np.ndarray, cfg: SolverConfig):
 
     Each restart keeps its own step, stall count and stopping rule, and
     leaves the stack when it stops.  Every array operation acts slice by
-    slice, so a restart's path does not depend on the others.  Returns the
+    slice, so a restart's path does not depend on the others.  The line
+    search moves to the first rung of the halving ladder that improves.  It
+    evaluates the first ``FIRST_RUNGS`` rungs for every restart, then the
+    rest only for the restarts with no improving rung yet; rungs it skips
+    count as +inf, so the pick is the one a full ladder gives.  Returns the
     per-restart values, isometries, converged flags and iteration counts.
     """
     v = _retract(starts)
@@ -379,11 +446,22 @@ def _descend(ev: _Evaluator, starts: np.ndarray, cfg: SolverConfig):
             break
         grad = _fd_gradient(ev, v[live], f[live])
         zero = np.linalg.norm(grad.reshape(len(grad), -1), axis=1) < 1e-13
-        idx = live[~zero]
+        idx, grad = live[~zero], grad[~zero]
         scales = step[idx, None] * ladder
-        candidates = v[idx, None] - scales[..., None, None] * grad[~zero, None]
-        trial = _retract(candidates.reshape(-1, m, r)).reshape(candidates.shape)
-        values = _objective_stack(ev, trial.reshape(-1, m, r)).reshape(scales.shape)
+        values = np.full(scales.shape, np.inf)
+        trial = np.empty(scales.shape + (m, r), dtype=complex)
+        pending = np.arange(idx.size)
+        for rungs in (slice(0, FIRST_RUNGS), slice(FIRST_RUNGS, LADDER)):
+            if pending.size == 0:
+                break
+            sizes = scales[pending, rungs, None, None]
+            candidates = v[idx[pending], None] - sizes * grad[pending, None]
+            tried = _retract(candidates.reshape(-1, m, r)).reshape(candidates.shape)
+            trial[pending, rungs] = tried
+            values[pending, rungs] = _objective_stack(ev, tried.reshape(-1, m, r)).reshape(
+                candidates.shape[:2]
+            )
+            pending = pending[~(values[pending] < f[idx[pending], None]).any(axis=1)]
         better = values < f[idx, None]
         moved = better.any(axis=1)
         # No better candidate: shrink the step; the iteration still counts.
@@ -562,9 +640,10 @@ def zero_entropy_structure(
     tol: Tolerances = DEFAULT_TOL,
 ) -> ZeroEntropyReport:
     """Check the support of ``rho`` against the output algebra when H is zero."""
-    if result.value_H > 1e-6:
+    if result.value_H > ZERO_ENTROPY_H:
         raise ValidationError(
-            f"zero-entropy structure needs value_H <= 1e-6, got {result.value_H:.3e}"
+            f"zero-entropy structure needs value_H <= {ZERO_ENTROPY_H:.0e}".replace("e-0", "e-")
+            + f", got {result.value_H:.3e}"
         )
     rho = _coerce(rho, DensityOperator, tol)
     lam, vecs = _clean_rank(rho, tol)

@@ -1,0 +1,64 @@
+"""The benchmark's value gate, checked in the test suite.
+
+``perfbench/run.py`` refuses a run whose ``value_R`` on an op rises above the
+value stored for that op and seed in ``perfbench/baseline.json`` by more than
+1e-9.  The stored values are where an unconverged descent stopped, so a
+kernel change that moves the objective's last bit can trip that gate.  These
+tests run the seed-0 ops of the two fast workloads through the same entry
+points as the benchmark, so such a change fails here first.  The benchmark's
+files are only read.
+"""
+
+import contextlib
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+import roofentropy as rf
+from roofentropy import cli
+
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SEED = 0
+SLACK = 1e-9  # perfbench/run.py BASELINE_SLACK
+
+
+def _workloads():
+    """``perfbench/workloads.py`` as a module, without writing its bytecode."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", BENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    with contextlib.ExitStack() as stack:
+        stack.callback(setattr, sys, "dont_write_bytecode", sys.dont_write_bytecode)
+        sys.dont_write_bytecode = True
+        spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+STORED = json.loads((BENCH / "baseline.json").read_text())
+GATED = [
+    (name, op)
+    for name in ("qubit-sweep", "cli-commands")
+    for op in _workloads()[name].build(SEED, False)
+    if op.name in STORED[name][str(SEED)]
+]
+
+
+def _value_R(op, capsys) -> float:
+    """The op's reported ``value_R``, read from its report as the benchmark reads it."""
+    if op.kind == "solve":
+        rho = rf.DensityOperator(op.state)
+        channel = rf.ReductionChannel(op.state.shape[0], op.block_dims, op.kraus)
+        result = rf.solve_R(rho, channel, rf.SolverConfig(**dict(op.solver)))
+        return rf.round_floats(rf.roof_result_to_json(result))["value_R"]
+    assert cli.main(list(op.argv)) == 0
+    report = json.loads(capsys.readouterr().out)
+    return (report["result"] if op.command == "roof" else report["solver"])["value_R"]
+
+
+@pytest.mark.parametrize("workload,op", GATED, ids=[f"{w}/{op.name}" for w, op in GATED])
+def test_value_R_within_stored_seed_value(workload, op, capsys):
+    stored = STORED[workload][str(SEED)][op.name]
+    assert _value_R(op, capsys) <= stored + SLACK

@@ -312,6 +312,16 @@ class TestAccinfoCommand:
         assert holevo["passed"] is True
         assert holevo["state_entropy"] == pytest.approx(0.5895144857350482, abs=1e-11)
 
+    def test_tol_reaches_the_canonical_ensemble(self, capsys):
+        # Trace 1.0005 is inside --tol 1e-3, and so are the canonical members
+        # and weights built from the state.
+        status, _, err = run_main(
+            capsys, "accinfo", "--tol", "1e-3", "--state", "[[0.5005,0.1],[0.1,0.5]]",
+            "--projections", "[[[1,0],[0,0]],[[0,0],[0,1]]]",
+            "--restarts", "2", "--max-iters", "20", "--samples", "2",
+        )
+        assert status == 0, err
+
     def test_bad_projections_payload(self, capsys):
         status, _, err = run_main(
             capsys, "accinfo", "--state", RHO, "--projections", "{}"

@@ -173,7 +173,7 @@ class TestChannels:
     @pytest.mark.parametrize(
         "path,name",
         [(("input_dim",), "input_dim"), (("block_dims", 1), r"block_dims\[1\]"),
-         (("kraus", 1, "block"), r"kraus\[1\] block")],
+         (("kraus", 1, "block"), "Kraus term block")],
         ids=["input_dim", "block_dims", "kraus-block"],
     )
     def test_explicit_integer_fields_checked(self, path, name):
@@ -182,7 +182,7 @@ class TestChannels:
         for key in path[:-1]:
             parent = parent[key]
         parent[path[-1]] = False
-        with pytest.raises(ValidationError, match=name + " must be a JSON integer"):
+        with pytest.raises(ValidationError, match=name + " must be an integer, got False"):
             channel_from_json(data)
 
     @pytest.mark.parametrize("field", ["block_dims", "kraus"])

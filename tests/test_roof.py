@@ -22,14 +22,23 @@ from roofentropy import (
     solve_R,
     zero_entropy_structure,
 )
+from roofentropy import roof
 from roofentropy.jsonio import roof_result_to_json, round_floats
 from roofentropy.roof import (
     FD_STEP,
-    OBJECTIVE_BATCH,
+    INITIAL_STEP,
+    LADDER,
+    OBJECTIVE_ROWS,
+    SHORT_AXIS,
+    STEP_CAP,
+    STEP_TOL,
+    VALUE_TOL,
     _Evaluator,
     _fd_gradient,
     _pair_entropy,
     _retract,
+    _row_sum,
+    _segment_sum,
     _start_isometries,
 )
 from roofentropy.sampling import ginibre_density, haar_unitary
@@ -300,14 +309,15 @@ class TestLockstepRestarts:
         assert full.restart_values[:5] == few.restart_values
 
     def test_chunked_gradient_stack_independent(self, rng):
-        # At d = 5 one restart perturbs 2 * 25 * 5 = 250 isometries, so the
-        # gradient stack of 3 or 4 restarts is cut into several chunks.
+        # At d = 5 one restart perturbs 2 * 25 * 5 = 250 isometries of 25
+        # rows, so the gradient stack of 3 or 4 restarts is cut into several
+        # chunks.
         g = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
         h = g @ g.conj().T
         rho = DensityOperator(h / np.trace(h).real)
         channel = pinching([np.diag([1.0, 1, 0, 0, 0]), np.diag([0.0, 0, 1, 1, 0]),
                             np.diag([0.0, 0, 0, 0, 1])])
-        assert 3 * 2 * 25 * 5 > OBJECTIVE_BATCH
+        assert 3 * 2 * 25 * 5 * 25 > OBJECTIVE_ROWS
         full = solve_R(rho, channel, SolverConfig(restarts=4, max_iters=6))
         for j in (1, 3):
             part = solve_R(rho, channel, SolverConfig(restarts=j, max_iters=6))
@@ -350,7 +360,8 @@ def _fd_gradient_reference(ev, v, f0):
     flat = v.reshape(k, count)
     span = 2 * count
     total = span * k
-    chunk = OBJECTIVE_BATCH // span * span or OBJECTIVE_BATCH
+    per_call = max(1, OBJECTIVE_ROWS // m)
+    chunk = per_call // span * span or per_call
     values = np.empty(total)
     for at in range(0, total, chunk):
         own, col = np.divmod(np.arange(at, min(at + chunk, total)), span)
@@ -362,7 +373,7 @@ def _fd_gradient_reference(ev, v, f0):
 
 
 def bits(a):
-    return np.ascontiguousarray(a).view(np.int64)
+    return np.ascontiguousarray(a).view(np.uint64)
 
 
 class TestWorkBuffers:
@@ -441,6 +452,111 @@ class TestWorkBuffers:
         first = enc(solve_R(rho3, diagonal_pinching(3), cfg))
         solve_R(rho4, diagonal_pinching(4), cfg)
         assert enc(solve_R(rho3, diagonal_pinching(3), cfg)) == first
+
+
+def _signed_zeros(rng, shape, dtype):
+    """Mixed magnitudes with +0.0 and -0.0 entries; some rows all -0.0, some all +0.0."""
+    def part():
+        x = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 8, shape)
+        x[rng.random(shape) < 0.2] = 0.0
+        x[rng.random(shape) < 0.2] = -0.0
+        x[0], x[1], x[2, ..., :1] = -0.0, 0.0, -0.0
+        return x
+    if dtype is float:
+        return part()
+    z = np.empty(shape, dtype=complex)
+    z.real, z.imag = part(), part()
+    return z
+
+
+class TestShortReductions:
+    """The whole-stack adds give numpy's own reductions, bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("width", range(1, SHORT_AXIS + 3))
+    def test_row_sum_matches_sum(self, rng, width, dtype):
+        wide = _signed_zeros(rng, (40, 6, width + 3), dtype)
+        # A column slice, as the pair blocks read, and a contiguous stack.
+        for x in (wide[..., 2 : 2 + width], np.ascontiguousarray(wide[..., :width])):
+            out = np.empty(x.shape[:-1], dtype)
+            assert np.array_equal(bits(_row_sum(x, out=out)), bits(x.sum(axis=-1)))
+
+    @pytest.mark.parametrize("width", range(1, SHORT_AXIS + 3))
+    def test_segment_sum_matches_reduceat(self, rng, width):
+        x = _signed_zeros(rng, (40, 6, width + 5), float)
+        expected = np.add.reduceat(x, np.array([0, 3, 3 + width]), axis=-1)[..., 1]
+        out = np.empty((40, 6, 2))[..., 1]
+        assert np.array_equal(bits(_segment_sum(x[..., 3 : 3 + width], out=out)), bits(expected))
+
+
+def _descend_reference(ev, starts, cfg):
+    """The full-ladder descent: every rung of every live restart is evaluated."""
+    v = _retract(starts)
+    f = roof._objective_stack(ev, v)
+    k, m, r = v.shape
+    step = np.full(k, INITIAL_STEP)
+    stalls = np.zeros(k, dtype=np.intp)
+    converged = np.zeros(k, dtype=bool)
+    iterations = np.full(k, cfg.max_iters)
+    ladder = 0.5 ** np.arange(LADDER)
+    live = np.arange(k)
+    for it in range(1, cfg.max_iters + 1):
+        if live.size == 0:
+            break
+        grad = _fd_gradient(ev, v[live], f[live])
+        zero = np.linalg.norm(grad.reshape(len(grad), -1), axis=1) < 1e-13
+        idx = live[~zero]
+        scales = step[idx, None] * ladder
+        candidates = v[idx, None] - scales[..., None, None] * grad[~zero, None]
+        trial = _retract(candidates.reshape(-1, m, r)).reshape(candidates.shape)
+        values = roof._objective_stack(ev, trial.reshape(-1, m, r)).reshape(scales.shape)
+        better = values < f[idx, None]
+        moved = better.any(axis=1)
+        step[idx[~moved]] *= ladder[-1] * 0.5
+        rows = np.flatnonzero(moved)
+        pick = better[rows].argmax(axis=1)
+        j = idx[rows]
+        gain = f[j] - values[rows, pick]
+        v[j] = trial[rows, pick]
+        f[j] = values[rows, pick]
+        step[j] = np.minimum(scales[rows, pick] * 2.0, STEP_CAP)
+        stalls[j] = np.where(gain < VALUE_TOL, stalls[j] + 1, 0)
+        done = step[idx] < STEP_TOL
+        done[rows] |= stalls[j] >= 2
+        ended = np.concatenate([live[zero], idx[done]])
+        converged[ended] = True
+        iterations[ended] = it
+        live = idx[~done]
+    return f, v, converged, iterations
+
+
+class TestTwoStageLineSearch:
+    @pytest.mark.parametrize("case,second_stages", [("qubit-default", 2), ("d5-budget", 0)])
+    def test_matches_full_ladder(self, rng, monkeypatch, case, second_stages):
+        if case == "qubit-default":
+            rho, channel, cfg = qubit(0.6, 0.2j), diagonal_pinching(2), SolverConfig()
+        else:
+            rho = ginibre_density(5, rng)
+            channel = pinching([np.diag([1.0, 1, 0, 0, 0]), np.diag([0.0, 0, 1, 1, 0]),
+                                np.diag([0.0, 0, 0, 0, 1])])
+            cfg = SolverConfig(restarts=4, max_iters=6)
+        n = channel.input_dim
+        ev = _Evaluator(rho, channel, DEFAULT_TOL)
+        starts = np.stack(_start_isometries(n * n, ev.rank, cfg))
+        calls = []
+        stack = roof._objective_stack
+        monkeypatch.setattr(roof, "_objective_stack", lambda e, v: calls.append(1) or stack(e, v))
+        got = roof._descend(ev, starts.copy(), cfg)
+        monkeypatch.undo()
+        want = _descend_reference(_Evaluator(rho, channel, DEFAULT_TOL), starts.copy(), cfg)
+        # Values and isometries to the bit; converged flags and iteration counts.
+        for a, b in zip(got[:2], want[:2]):
+            assert np.array_equal(bits(a), bits(b))
+        for a, b in zip(got[2:], want[2:]):
+            assert np.array_equal(a, b)
+        # One call for the starts, one per iteration for the first rungs, and
+        # one more in each iteration where some restart needed the rest.
+        assert len(calls) == 1 + int(want[3].max()) + second_stages
 
 
 class TestAffinityCertificate:
