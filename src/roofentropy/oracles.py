@@ -260,7 +260,7 @@ def block_example_decomposition(
         candidate = binary_entropy(mu_p)
     if not weights:
         raise ValidationError("construction failure: no members survived")
-    ensemble = pure_ensemble(weights, vectors)
+    ensemble = pure_ensemble(weights, vectors, tol)
     rebuilt = convex_sum(ensemble)
     defect = float(np.max(np.abs(rebuilt.matrix - rho.matrix)))
     if defect > 1e-9:

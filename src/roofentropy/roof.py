@@ -7,7 +7,10 @@ searches that isometry manifold with multi-start descent along the
 forward-difference gradient of the objective composed with the QR
 retraction, so iterates stay on the manifold.  The restarts run in lockstep
 as one stack of isometries; each keeps its own step and stopping rule and
-leaves the stack when it stops.
+leaves the stack when it stops.  Solves of several states under one channel
+(the affinity certificate's re-solves, say) share such a stack: every
+isometry carries the index of its state, and each state's restarts follow
+the path they follow when that state is solved alone.
 
 The line search tries the two longest steps of its halving ladder first and
 the shorter ones only for restarts those did not improve.  Objective calls
@@ -108,6 +111,8 @@ class RoofResult:
 
     ``value_H = reduced_entropy - value_R`` by construction, so it is the
     mutual entropy of the optimal ensemble up to solver tolerance.
+    ``converged`` and ``iterations`` belong to ``best_restart``, the winning
+    restart, not to the whole solve.
     """
 
     value_R: float
@@ -233,25 +238,28 @@ def _pair_entropy(g00: np.ndarray, g11: np.ndarray, g01: np.ndarray, out=None) -
 class _Evaluator:
     """Vectorized objective over batches of mixing isometries.
 
-    Precomputes the scaled eigenvector matrix of the state and a
-    concatenated Kraus matrix.  For a pure member, each output block is a
-    small Gram form; blocks fed by a single Kraus term (and all
-    1-dimensional blocks) contribute a plain squared norm, so only blocks
-    with several multi-row Kraus terms need the Gram spectrum.  The Gram
-    matrix has one row per Kraus term of the block: 2x2 Grams take their
-    eigenvalues in closed form over the whole stack, larger ones go through
-    a batched eigensolve.
+    Takes states that share one channel and precomputes the scaled
+    eigenvector matrix of each (its ``root``) and one concatenated Kraus
+    matrix.  For a pure member, each output block is a small Gram form;
+    blocks fed by a single Kraus term (and all 1-dimensional blocks)
+    contribute a plain squared norm, so only blocks with several multi-row
+    Kraus terms need the Gram spectrum.  The Gram matrix has one row per
+    Kraus term of the block: 2x2 Grams take their eigenvalues in closed form
+    over the whole stack, larger ones go through a batched eigensolve.
 
     Every stage of a call is computed in place in work arrays that the
     evaluator keeps and reuses across calls, each grown to the largest
     stack it has seen.  The buffers belong to this evaluator, and so to one
-    solve: do not share an evaluator across solves or threads.
+    call of ``_solve_states``: do not share an evaluator across solves or
+    threads.
     """
 
-    def __init__(self, rho: DensityOperator, channel: ReductionChannel, tol: Tolerances):
-        lam, vecs = _clean_rank(rho, tol)
-        self.rank = lam.size
-        self.root = (vecs * np.sqrt(lam)).T  # (r, n): phi rows = V @ root
+    def __init__(self, states, channel: ReductionChannel, tol: Tolerances):
+        self.roots = []  # per state, (r, n): phi rows = V @ root
+        for rho in states:
+            lam, vecs = _clean_rank(rho, tol)
+            self.roots.append((vecs * np.sqrt(lam)).T)
+        self.ranks = [root.shape[0] for root in self.roots]
         per_block: dict[int, list[np.ndarray]] = {b: [] for b in range(channel.block_count)}
         for b, k in channel.kraus:
             per_block[b].append(k)
@@ -288,7 +296,6 @@ class _Evaluator:
         self.gram_specs = gram_specs
         stacked = norm_rows + gram_rows
         self.kraus_t = np.vstack(stacked).T.copy() if stacked else None
-        self.reduced_entropy = block_entropy(reduce_state(channel, rho, tol), tol)
         self._buffers: dict[str, np.ndarray] = {}
 
     def work(self, name: str, shape: tuple, dtype=float) -> np.ndarray:
@@ -303,28 +310,47 @@ class _Evaluator:
             flat = self._buffers[name] = np.empty(size, dtype=dtype)
         return flat[:size].reshape(shape)
 
-    def objective_many(self, isometries: np.ndarray) -> np.ndarray:
+    def objective_many(self, isometries: np.ndarray, owners: np.ndarray) -> np.ndarray:
         """Objective for a stack of isometries, shape (batch, m, r) -> (batch,).
 
-        Both products run as GEMMs over the flattened (batch * m) rows, in
-        row blocks of at most ``GEMM_WORK`` multiply-adds.  Rows do not mix,
-        so every slice gets the same arithmetic whatever the batch size.
-        Sums over a short trailing axis (a norm block's columns, a pair
-        block's entries, a member's weight) run as one add per entry over
-        the whole stack, in the order numpy's reduction takes, so they are
-        bit for bit ``np.add.reduceat`` and ``np.sum``; longer axes keep
-        numpy's pairwise reduction.  The returned array is new; only the
-        intermediates live in the work arrays.
+        ``owners[i]`` is the index of the state that isometry ``i`` mixes;
+        it never decreases along the stack.  Both products run as GEMMs over
+        the flattened (batch * m) rows, in row blocks of at most
+        ``GEMM_WORK`` multiply-adds; ``phi = rows @ root`` runs once per
+        contiguous run of one state within a block, and everything after it
+        over the whole stack, since the channel is shared.  Rows do not
+        mix, so every slice gets the same arithmetic whatever the batch and
+        its neighbours.  Sums over a short trailing axis (a norm block's
+        columns, a pair block's entries, a member's weight) run as one add
+        per entry over the whole stack, in the order numpy's reduction
+        takes, so they are bit for bit ``np.add.reduceat`` and ``np.sum``;
+        longer axes keep numpy's pairwise reduction.  The returned array is
+        new; only the intermediates live in the work arrays.
         """
         batch, m, r = isometries.shape
         rows = isometries.reshape(batch * m, r)
-        n, width = self.root.shape[1], self.kraus_t.shape[1]
+        n, width = self.roots[0].shape[1], self.kraus_t.shape[1]
         phi = self.work("phi", (batch * m, n), complex)
         a = self.work("a", (batch * m, width), complex)
+        # The isometry at which each run of one state ends.  A stack of one
+        # state, the common case, skips the scan.
+        cuts = [batch]
+        if owners[0] != owners[-1]:
+            cuts = (np.flatnonzero(owners[1:] != owners[:-1]) + 1).tolist() + cuts
+        ends = [c * m for c in cuts]
+        roots = [self.roots[owners[c - 1]] for c in cuts]
         step = max(1, GEMM_WORK // (n * max(r, width)))
+        run = 0
         for at in range(0, batch * m, step):
-            np.matmul(rows[at : at + step], self.root, out=phi[at : at + step])
-            np.matmul(phi[at : at + step], self.kraus_t, out=a[at : at + step])
+            stop = min(at + step, batch * m)
+            lo = at
+            while lo < stop:
+                hi = min(ends[run], stop)
+                np.matmul(rows[lo:hi], roots[run], out=phi[lo:hi])
+                if hi == ends[run]:
+                    run += 1
+                lo = hi
+            np.matmul(phi[at:stop], self.kraus_t, out=a[at:stop])
         phi, a = phi.reshape(batch, m, n), a.reshape(batch, m, width)
         nu = self._abs2("nu", a)
         norm_part = self.work("norm", (batch, m, len(self.norm_segments)))
@@ -381,17 +407,20 @@ def _retract(a: np.ndarray) -> np.ndarray:
     return q
 
 
-def _fd_gradient(ev: _Evaluator, v: np.ndarray, f0: np.ndarray) -> np.ndarray:
+def _fd_gradient(
+    ev: _Evaluator, v: np.ndarray, owners: np.ndarray, f0: np.ndarray
+) -> np.ndarray:
     """Forward-difference gradients of the retracted objective, as complex matrices.
 
-    ``v`` is a stack of isometries, shape (k, m, r), and ``f0`` their
-    objective values.  The 2·m·r perturbed copies of each are built and
-    evaluated in chunks of whole restarts, at most ``OBJECTIVE_ROWS`` rows
-    (copies x m) each; only a restart with more copies than that is split.
-    Each chunk's copies are gathered into one of the evaluator's work
-    arrays, and only the bumped entry of each copy is then added to: a
-    broadcast add would turn its -0.0 entries into +0.0, which flips the
-    sign QR gives a reflector.
+    ``v`` is a stack of isometries, shape (k, m, r), ``owners`` the index of
+    each one's state (never decreasing) and ``f0`` their objective values.
+    The 2·m·r perturbed copies of each are built and evaluated in chunks of
+    whole restarts, at most ``OBJECTIVE_ROWS`` rows (copies x m) each; only
+    a restart with more copies than that is split.  Each copy keeps its
+    restart's owner.  Each chunk's copies are gathered into one of the
+    evaluator's work arrays, and only the bumped entry of each copy is then
+    added to: a broadcast add would turn its -0.0 entries into +0.0, which
+    flips the sign QR gives a reflector.
     """
     k, m, r = v.shape
     count = m * r
@@ -406,34 +435,41 @@ def _fd_gradient(ev: _Evaluator, v: np.ndarray, f0: np.ndarray) -> np.ndarray:
         batch = np.take(flat, own, axis=0, out=ev.work("fd", (own.size, count), complex),
                         mode="clip")
         batch[np.arange(own.size), col % count] += np.where(col < count, FD_STEP, 1j * FD_STEP)
-        values[at : at + own.size] = ev.objective_many(_retract(batch.reshape(-1, m, r)))
+        values[at : at + own.size] = ev.objective_many(
+            _retract(batch.reshape(-1, m, r)), owners[own]
+        )
     g = (values.reshape(k, span) - f0[:, None]) / FD_STEP
     return (g[:, :count] + 1j * g[:, count:]).reshape(k, m, r)
 
 
-def _objective_stack(ev: _Evaluator, v: np.ndarray) -> np.ndarray:
+def _objective_stack(ev: _Evaluator, v: np.ndarray, owners: np.ndarray) -> np.ndarray:
     """Objective of a stack of isometries, at most ``OBJECTIVE_ROWS`` rows per call."""
     per_call = max(1, OBJECTIVE_ROWS // v.shape[1])
     values = np.empty(len(v))
     for at in range(0, len(v), per_call):
-        values[at : at + per_call] = ev.objective_many(v[at : at + per_call])
+        values[at : at + per_call] = ev.objective_many(
+            v[at : at + per_call], owners[at : at + per_call]
+        )
     return values
 
 
-def _descend(ev: _Evaluator, starts: np.ndarray, cfg: SolverConfig):
+def _descend(ev: _Evaluator, starts: np.ndarray, owners: np.ndarray, cfg: SolverConfig):
     """Descend from every start in lockstep, as one stack of isometries.
 
-    Each restart keeps its own step, stall count and stopping rule, and
-    leaves the stack when it stops.  Every array operation acts slice by
-    slice, so a restart's path does not depend on the others.  The line
-    search moves to the first rung of the halving ladder that improves.  It
-    evaluates the first ``FIRST_RUNGS`` rungs for every restart, then the
+    ``owners[i]`` is the evaluator's index of the state start ``i`` mixes,
+    never decreasing along the stack, so the restarts of several states
+    under one channel descend together.  Each restart keeps its own step,
+    stall count and stopping rule, and leaves the stack when it stops.
+    Every array operation acts slice by slice, so a restart's path does not
+    depend on the others, whether they belong to its state or another.  The
+    line search moves to the first rung of the halving ladder that improves.
+    It evaluates the first ``FIRST_RUNGS`` rungs for every restart, then the
     rest only for the restarts with no improving rung yet; rungs it skips
     count as +inf, so the pick is the one a full ladder gives.  Returns the
     per-restart values, isometries, converged flags and iteration counts.
     """
     v = _retract(starts)
-    f = _objective_stack(ev, v)
+    f = _objective_stack(ev, v, owners)
     k, m, r = v.shape
     step = np.full(k, INITIAL_STEP)
     stalls = np.zeros(k, dtype=np.intp)
@@ -444,7 +480,7 @@ def _descend(ev: _Evaluator, starts: np.ndarray, cfg: SolverConfig):
     for it in range(1, cfg.max_iters + 1):
         if live.size == 0:
             break
-        grad = _fd_gradient(ev, v[live], f[live])
+        grad = _fd_gradient(ev, v[live], owners[live], f[live])
         zero = np.linalg.norm(grad.reshape(len(grad), -1), axis=1) < 1e-13
         idx, grad = live[~zero], grad[~zero]
         scales = step[idx, None] * ladder
@@ -458,9 +494,10 @@ def _descend(ev: _Evaluator, starts: np.ndarray, cfg: SolverConfig):
             candidates = v[idx[pending], None] - sizes * grad[pending, None]
             tried = _retract(candidates.reshape(-1, m, r)).reshape(candidates.shape)
             trial[pending, rungs] = tried
-            values[pending, rungs] = _objective_stack(ev, tried.reshape(-1, m, r)).reshape(
-                candidates.shape[:2]
-            )
+            tried_owners = np.repeat(owners[idx[pending]], candidates.shape[1])
+            values[pending, rungs] = _objective_stack(
+                ev, tried.reshape(-1, m, r), tried_owners
+            ).reshape(candidates.shape[:2])
             pending = pending[~(values[pending] < f[idx[pending], None]).any(axis=1)]
         better = values < f[idx, None]
         moved = better.any(axis=1)
@@ -517,45 +554,75 @@ def solve_R(
     -------
     RoofResult
         Restarts merge by minimum value with lowest-index tie-break, so the
-        outcome does not depend on evaluation order.  ``converged`` reports
-        the flag of the winning restart.
+        outcome does not depend on evaluation order.  ``converged`` and
+        ``iterations`` report the winning restart.
     """
-    rho = _coerce(rho, DensityOperator, tol)
+    return _solve_states([rho], channel, config, tol, trace)[0]
+
+
+def _solve_states(states, channel: ReductionChannel, config: SolverConfig | None = None,
+                  tol: Tolerances = DEFAULT_TOL, trace=None) -> list:
+    """``solve_R`` of every state under one channel, in input order, bit for bit.
+
+    States of one rank descend together: a stack takes whole states, each
+    with all its restarts, while restarts x m stays within
+    ``OBJECTIVE_ROWS`` rows, and always takes at least one state.  Every
+    state gets the same starts as alone, and its restarts follow the same
+    paths, so each result is the one ``solve_R`` gives.  ``trace`` gets the
+    restart lines of each state in turn.
+    """
+    states = [_coerce(rho, DensityOperator, tol) for rho in states]
     cfg = config if config is not None else SolverConfig()
-    if rho.dim != channel.input_dim:
-        raise ValidationError(f"state dimension {rho.dim} != channel input {channel.input_dim}")
-    ev = _Evaluator(rho, channel, tol)
-    n = rho.dim
+    n = channel.input_dim
+    for rho in states:
+        if rho.dim != n:
+            raise ValidationError(f"state dimension {rho.dim} != channel input {n}")
+    ev = _Evaluator(states, channel, tol)
     length = cfg.max_length if cfg.max_length is not None else n * n
-    if length < ev.rank:
-        raise ValidationError(
-            f"max_length {length} is below the state rank {ev.rank}"
-        )
-    starts = np.stack(_start_isometries(length, ev.rank, cfg))
-    values, isometries, flags, counts = _descend(ev, starts, cfg)
-    values, flags, counts = values.tolist(), flags.tolist(), counts.tolist()
-    if trace is not None:
-        for idx in range(cfg.restarts):
-            trace.write(
-                json.dumps(
-                    {"restart": idx, "value": values[idx], "iterations": counts[idx],
-                     "converged": flags[idx]},
-                    sort_keys=True,
-                )
-                + "\n"
+    for rank in ev.ranks:
+        if length < rank:
+            raise ValidationError(f"max_length {length} is below the state rank {rank}")
+    per_stack = max(1, OBJECTIVE_ROWS // (cfg.restarts * length))
+    outcomes = [None] * len(states)
+    for rank in sorted(set(ev.ranks)):
+        members = [i for i, rk in enumerate(ev.ranks) if rk == rank]
+        starts = np.stack(_start_isometries(length, rank, cfg))
+        for at in range(0, len(members), per_stack):
+            group = members[at : at + per_stack]
+            owners = np.repeat(group, cfg.restarts)
+            values, isometries, flags, counts = _descend(
+                ev, np.concatenate([starts] * len(group)), owners, cfg
             )
-    best = min(range(cfg.restarts), key=values.__getitem__)
-    ensemble = shorten(decomposition_from_isometry(rho, isometries[best], tol))
-    return RoofResult(
-        value_R=values[best],
-        value_H=ev.reduced_entropy - values[best],
-        reduced_entropy=ev.reduced_entropy,
-        optimal_ensemble=ensemble,
-        restart_values=tuple(values),
-        best_restart=best,
-        converged=flags[best],
-        iterations=counts[best],
-    )
+            for j, i in enumerate(group):
+                own = slice(j * cfg.restarts, (j + 1) * cfg.restarts)
+                outcomes[i] = (values[own].tolist(), isometries[own], flags[own].tolist(),
+                               counts[own].tolist())
+    results = []
+    for rho, (values, isometries, flags, counts) in zip(states, outcomes):
+        if trace is not None:
+            for idx in range(cfg.restarts):
+                trace.write(
+                    json.dumps(
+                        {"restart": idx, "value": values[idx], "iterations": counts[idx],
+                         "converged": flags[idx]},
+                        sort_keys=True,
+                    )
+                    + "\n"
+                )
+        best = min(range(cfg.restarts), key=values.__getitem__)
+        ensemble = shorten(decomposition_from_isometry(rho, isometries[best], tol))
+        reduced = block_entropy(reduce_state(channel, rho, tol), tol)
+        results.append(RoofResult(
+            value_R=values[best],
+            value_H=reduced - values[best],
+            reduced_entropy=reduced,
+            optimal_ensemble=ensemble,
+            restart_values=tuple(values),
+            best_restart=best,
+            converged=flags[best],
+            iterations=counts[best],
+        ))
+    return results
 
 
 @dataclasses.dataclass(frozen=True)
@@ -582,30 +649,30 @@ def affinity_certificate(
     samples: int = 20,
     config: SolverConfig | None = None,
 ) -> AffinityCertificate:
-    """Probe affinity of the roof on the face spanned by the optimal ensemble."""
+    """Probe affinity of the roof on the face spanned by the optimal ensemble.
+
+    Every Dirichlet reweighting is drawn first; the recombined mixtures
+    share one channel, so their re-solves then run as one lockstep solve,
+    each with the result ``solve_R`` gives it alone.
+    """
     samples = _require_int("samples", samples, 1)
     cfg = config if config is not None else SolverConfig()
     members = list(result.optimal_ensemble.members())
     reduced = [block_entropy(reduce_state(channel, rho)) for _, rho in members]
     rng = np.random.default_rng([cfg.seed, 7919])
-    discrepancies = []
-    predictions = []
-    resolved_values = []
-    for _ in range(samples):
-        q = rng.dirichlet(np.ones(len(members)))
-        mixture = DensityOperator(
-            sum(qj * rho.matrix for qj, (_, rho) in zip(q, members))
-        )
-        prediction = float(np.dot(q, reduced))
-        res = solve_R(mixture, channel, cfg)
-        predictions.append(prediction)
-        resolved_values.append(res.value_R)
-        discrepancies.append(res.value_R - prediction)
+    weights = [rng.dirichlet(np.ones(len(members))) for _ in range(samples)]
+    mixtures = [
+        DensityOperator(sum(qj * rho.matrix for qj, (_, rho) in zip(q, members)))
+        for q in weights
+    ]
+    predictions = [float(np.dot(q, reduced)) for q in weights]
+    resolved = [res.value_R for res in _solve_states(mixtures, channel, cfg)]
+    discrepancies = [value - prediction for value, prediction in zip(resolved, predictions)]
     max_disc = max(abs(d) for d in discrepancies)
     return AffinityCertificate(
         discrepancies=tuple(discrepancies),
         predictions=tuple(predictions),
-        resolved=tuple(resolved_values),
+        resolved=tuple(resolved),
         max_discrepancy=max_disc,
         tolerance=AFFINITY_TOL,
         passed=max_disc <= AFFINITY_TOL,

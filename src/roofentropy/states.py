@@ -229,10 +229,15 @@ class DensityOperator:
 
 @dataclasses.dataclass(frozen=True)
 class PureState:
-    """A unit vector; ``density()`` gives the rank-one projection onto it."""
+    """A unit vector; ``density()`` gives the rank-one projection onto it.
+
+    Its validation tolerance also governs ``density()``.
+    """
 
     vector: np.ndarray
     tol: dataclasses.InitVar[Tolerances] = DEFAULT_TOL
+    # the validation tolerance, kept for the density built from the vector
+    _tol: Tolerances = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self, tol: Tolerances):
         v = np.asarray(self.vector, dtype=complex)
@@ -246,6 +251,7 @@ class PureState:
         v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "vector", v)
+        object.__setattr__(self, "_tol", tol)
 
     @property
     def dim(self) -> int:
@@ -255,7 +261,7 @@ class PureState:
         return np.outer(self.vector, self.vector.conj())
 
     def density(self) -> DensityOperator:
-        return DensityOperator(self.projector())
+        return DensityOperator(self.projector(), self._tol)
 
 
 def _xlnx(x, out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:

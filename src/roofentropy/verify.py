@@ -31,6 +31,7 @@ from .oracles import (
 )
 from .roof import (
     SolverConfig,
+    _solve_states,
     affinity_certificate,
     solve_R,
     zero_entropy_structure,
@@ -197,9 +198,8 @@ def _check_compression_identity(rng, n, cfg):
 
 def _check_solver_qubit(rng, n, cfg):
     worst = 0.0
-    for _ in range(3 * n):
-        rho = ginibre_density(2, rng)
-        res = solve_R(rho, diagonal_pinching(2), cfg)
+    states = [ginibre_density(2, rng) for _ in range(3 * n)]
+    for rho, res in zip(states, _solve_states(states, diagonal_pinching(2), cfg)):
         worst = max(worst, abs(res.value_R - qubit_R(rho.matrix[0, 1])))
     return worst <= 1e-5, {"max_oracle_error": worst}
 
@@ -246,8 +246,8 @@ def _check_concavity(rng, n, cfg):
         a, b = ginibre_density(dim, rng), ginibre_density(dim, rng)
         t = float(rng.uniform(0.1, 0.9))
         mix = DensityOperator(t * a.matrix + (1 - t) * b.matrix)
-        h_mix = solve_R(mix, ch, cfg).value_H
-        h_split = t * solve_R(a, ch, cfg).value_H + (1 - t) * solve_R(b, ch, cfg).value_H
+        h_mix, h_a, h_b = (res.value_H for res in _solve_states([mix, a, b], ch, cfg))
+        h_split = t * h_a + (1 - t) * h_b
         worst = min(worst, h_mix - h_split)
     return worst >= -2e-4, {"min_concavity_slack": worst}
 

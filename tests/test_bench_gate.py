@@ -1,12 +1,13 @@
-"""The benchmark's value gate, checked in the test suite.
+"""The benchmark's value gate and report bytes, checked in the test suite.
 
 ``perfbench/run.py`` refuses a run whose ``value_R`` on an op rises above the
 value stored for that op and seed in ``perfbench/baseline.json`` by more than
 1e-9.  The stored values are where an unconverged descent stopped, so a
 kernel change that moves the objective's last bit can trip that gate.  These
 tests run the seed-0 ops of the two fast workloads through the same entry
-points as the benchmark, so such a change fails here first.  The benchmark's
-files are only read.
+points as the benchmark, so such a change fails here first.  They also check
+that the CLI reports do not change when same-channel solves share one
+lockstep stack.  The benchmark's files are only read.
 """
 
 import contextlib
@@ -18,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import roofentropy as rf
-from roofentropy import cli
+from roofentropy import cli, roof, verify
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SEED = 0
@@ -62,3 +63,22 @@ def _value_R(op, capsys) -> float:
 def test_value_R_within_stored_seed_value(workload, op, capsys):
     stored = STORED[workload][str(SEED)][op.name]
     assert _value_R(op, capsys) <= stored + SLACK
+
+
+STACKED = [op for op in _workloads()["cli-commands"].build(SEED, False)
+           if op.command in ("roof", "verify")]
+
+
+@pytest.mark.parametrize("op", STACKED, ids=[op.name for op in STACKED])
+def test_report_bytes_match_one_solve_per_state(op, capsys, monkeypatch):
+    assert cli.main(list(op.argv)) == 0
+    stacked = capsys.readouterr().out
+    alone = roof._solve_states
+
+    def one_at_a_time(states, channel, config=None, tol=rf.DEFAULT_TOL, trace=None):
+        return [alone([rho], channel, config, tol, trace)[0] for rho in states]
+
+    monkeypatch.setattr(roof, "_solve_states", one_at_a_time)
+    monkeypatch.setattr(verify, "_solve_states", one_at_a_time)
+    assert cli.main(list(op.argv)) == 0
+    assert capsys.readouterr().out == stacked

@@ -8,6 +8,7 @@ from roofentropy import (
     BlockExampleData,
     DensityOperator,
     PureState,
+    Tolerances,
     ValidationError,
     binary_entropy,
     block_example_analyze,
@@ -16,6 +17,7 @@ from roofentropy import (
     qubit_R,
     qubit_R_series,
 )
+from roofentropy.states import DEFAULT_TOL
 
 LN2 = 0.6931471805599453
 
@@ -161,6 +163,18 @@ class TestBlockExampleDecomposition:
         assert dec.candidate == pytest.approx(qubit_R(0.25), abs=1e-12)
         assert not dec.degenerate
         assert len(dec.ensemble) == 4
+
+    def test_ensemble_keeps_the_tolerance(self):
+        rho = DensityOperator(SAMPLE3)
+        data = block_example_analyze(rho, E3)
+        for tol in (DEFAULT_TOL, Tolerances(1e-3)):
+            dec = block_example_decomposition(data, rho, tol)
+            assert dec.ensemble._tol == tol
+        default = block_example_decomposition(data, rho).ensemble
+        loose = block_example_decomposition(data, rho, Tolerances(1e-3)).ensemble
+        assert np.array_equal(default.weights, loose.weights)
+        for a, b in zip(default.states, loose.states):
+            assert np.array_equal(a.matrix, b.matrix)
 
     def test_reconstructs_state(self):
         rho = DensityOperator(SAMPLE3)

@@ -12,12 +12,14 @@ from roofentropy import (
     ValidationError,
     affinity_certificate,
     block_compression,
+    block_entropy,
     commutative_channel,
     convex_sum,
     decomposition_from_isometry,
     diagonal_pinching,
     pinching,
     qubit_R,
+    reduce_state,
     roof_objective,
     solve_R,
     zero_entropy_structure,
@@ -48,6 +50,11 @@ from roofentropy.verify import run_verify
 from conftest import FAST
 
 LN2 = 0.6931471805599453
+
+
+def alone(count):
+    """Owner indices of a stack of ``count`` isometries of the evaluator's only state."""
+    return np.zeros(count, dtype=np.intp)
 
 
 def qubit(a, z):
@@ -135,10 +142,10 @@ class TestVectorizedObjective:
             pinching([np.diag([1.0, 1, 0, 0]), np.diag([0.0, 0, 1, 1])]),
             block_compression(PureState(np.array([0.0, 0, 0, 1.0]))),
         ):
-            ev = _Evaluator(rho, channel, DEFAULT_TOL)
-            for start in _start_isometries(6, ev.rank, SolverConfig(restarts=4, seed=7)):
+            ev = _Evaluator([rho], channel, DEFAULT_TOL)
+            for start in _start_isometries(6, ev.ranks[0], SolverConfig(restarts=4, seed=7)):
                 v = _retract(start[None])[0]
-                fast = ev.objective_many(v[None])[0]
+                fast = ev.objective_many(v[None], alone(1))[0]
                 slow = roof_objective(decomposition_from_isometry(rho, v), channel)
                 assert fast == pytest.approx(slow, abs=1e-9)
 
@@ -171,11 +178,11 @@ class TestGramBlocks:
         for channel, pairs, grams in ((pair, 1, 0), (mixed, 1, 1)):
             n = channel.input_dim
             rho = ginibre_density(n, rng)
-            ev = _Evaluator(rho, channel, DEFAULT_TOL)
+            ev = _Evaluator([rho], channel, DEFAULT_TOL)
             assert (len(ev.pair_specs), len(ev.gram_specs)) == (pairs, grams)
-            for start in _start_isometries(n * n, ev.rank, SolverConfig(restarts=4, seed=3)):
+            for start in _start_isometries(n * n, ev.ranks[0], SolverConfig(restarts=4, seed=3)):
                 v = _retract(start[None])[0]
-                fast = ev.objective_many(v[None])[0]
+                fast = ev.objective_many(v[None], alone(1))[0]
                 slow = roof_objective(decomposition_from_isometry(rho, v), channel)
                 assert fast == pytest.approx(slow, abs=1e-9)
 
@@ -199,11 +206,11 @@ class TestGramBlocks:
         for channel in (pair, mixed, diagonal_pinching(2)):
             n = channel.input_dim
             rho = ginibre_density(n, rng)
-            ev = _Evaluator(rho, channel, DEFAULT_TOL)
-            shape = (150, n * n, ev.rank)
+            ev = _Evaluator([rho], channel, DEFAULT_TOL)
+            shape = (150, n * n, ev.ranks[0])
             v = _retract(rng.normal(size=shape) + 1j * rng.normal(size=shape))
-            stacked = ev.objective_many(v)
-            single = np.array([ev.objective_many(v[i : i + 1])[0] for i in range(len(v))])
+            stacked = ev.objective_many(v, alone(len(v)))
+            single = np.array([ev.objective_many(v[i : i + 1], alone(1))[0] for i in range(len(v))])
             assert np.array_equal(stacked, single)
 
 
@@ -330,12 +337,12 @@ class TestLockstepRestarts:
         g = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
         h = g @ g.conj().T
         rho = DensityOperator(h / np.trace(h).real)
-        ev = _Evaluator(rho, diagonal_pinching(5), DEFAULT_TOL)
+        ev = _Evaluator([rho], diagonal_pinching(5), DEFAULT_TOL)
         v = _retract(np.stack(_start_isometries(length, 5, SolverConfig(restarts=4))))
-        f0 = ev.objective_many(v)
-        stacked = _fd_gradient(ev, v, f0)
+        f0 = ev.objective_many(v, alone(len(v)))
+        stacked = _fd_gradient(ev, v, alone(len(v)), f0)
         for i in range(len(v)):
-            single = _fd_gradient(ev, v[i : i + 1], f0[i : i + 1])
+            single = _fd_gradient(ev, v[i : i + 1], alone(1), f0[i : i + 1])
             assert np.array_equal(stacked[i], single[0])
 
     def test_zero_gradient_stops_every_restart(self):
@@ -347,13 +354,97 @@ class TestLockstepRestarts:
         assert (res.best_restart, res.converged, res.iterations) == (0, True, 1)
 
 
+def assert_same_result(got, want):
+    """Every field of two results to the bit, the ensemble's bytes included."""
+    for field in ("value_R", "value_H", "reduced_entropy", "restart_values"):
+        assert bits(np.array(getattr(got, field))).tobytes() == bits(
+            np.array(getattr(want, field))).tobytes(), field
+    assert (got.best_restart, got.converged, got.iterations) == (
+        want.best_restart, want.converged, want.iterations)
+    assert got.optimal_ensemble.weights.tobytes() == want.optimal_ensemble.weights.tobytes()
+    assert [s.matrix.tobytes() for s in got.optimal_ensemble.states] == [
+        s.matrix.tobytes() for s in want.optimal_ensemble.states]
+
+
+def _affinity_reference(result, channel, samples, cfg):
+    """The certificate's samples as (prediction, resolved, discrepancy), solved in turn.
+
+    One Dirichlet draw and one ``solve_R`` per sample, as before the
+    re-solves shared a stack.
+    """
+    members = list(result.optimal_ensemble.members())
+    reduced = [block_entropy(reduce_state(channel, rho)) for _, rho in members]
+    rng = np.random.default_rng([cfg.seed, 7919])
+    out = []
+    for _ in range(samples):
+        q = rng.dirichlet(np.ones(len(members)))
+        mixture = DensityOperator(sum(qj * rho.matrix for qj, (_, rho) in zip(q, members)))
+        prediction = float(np.dot(q, reduced))
+        value = solve_R(mixture, channel, cfg).value_R
+        out.append((prediction, value, value - prediction))
+    return out
+
+
+class TestSameChannelStack:
+    """States under one channel share a stack, and each gets its solve_R result."""
+
+    def test_qubit_states_match_solve_R(self, rng):
+        states = [ginibre_density(2, rng) for _ in range(3)]
+        channel = diagonal_pinching(2)
+        got = roof._solve_states(states, channel, FAST)
+        assert len(got) == 3
+        for rho, res in zip(states, got):
+            assert_same_result(res, solve_R(rho, channel, FAST))
+
+    def test_mixed_ranks_match_solve_R_in_input_order(self, rng):
+        # Pure and full-rank states alternate, so the rank groups interleave
+        # in the input and the results must come back in input order.
+        pure = [PureState(v / np.linalg.norm(v)).density()
+                for v in rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))]
+        full = [ginibre_density(3, rng) for _ in range(2)]
+        states = [full[0], pure[0], full[1], pure[1]]
+        channel = pinching([np.diag([1.0, 1, 0]), np.diag([0.0, 0, 1])])
+        cfg = SolverConfig(restarts=3, max_iters=40, seed=2)
+        assert _Evaluator(states, channel, DEFAULT_TOL).ranks == [3, 1, 3, 1]
+        got = roof._solve_states(states, channel, cfg)
+        for rho, res in zip(states, got):
+            assert_same_result(res, solve_R(rho, channel, cfg))
+
+    def test_stacks_split_by_row_budget_match(self, rng, monkeypatch):
+        states = [ginibre_density(3, rng) for _ in range(5)]
+        channel = diagonal_pinching(3)
+        cfg = SolverConfig(restarts=2, max_iters=30)
+        sizes = []
+        descend = roof._descend
+        monkeypatch.setattr(roof, "_descend", lambda ev, starts, owners, c: (
+            sizes.append(len(set(owners.tolist()))) or descend(ev, starts, owners, c)))
+        whole = roof._solve_states(states, channel, cfg)
+        assert sizes == [5]
+        # Two states' restarts fill the budget: stacks of 2, 2 and 1 states.
+        monkeypatch.setattr(roof, "OBJECTIVE_ROWS", 2 * cfg.restarts * 9)
+        split = roof._solve_states(states, channel, cfg)
+        assert sizes == [5, 2, 2, 1]
+        for a, b in zip(split, whole):
+            assert_same_result(a, b)
+
+    def test_affinity_matches_sequential_solves(self, rng):
+        channel = diagonal_pinching(3)
+        cfg = SolverConfig(restarts=3, max_iters=60, seed=4)
+        res = solve_R(ginibre_density(3, rng), channel, cfg)
+        assert len(res.optimal_ensemble) > 2
+        cert = affinity_certificate(res, channel, samples=5, config=cfg)
+        want = _affinity_reference(res, channel, 5, cfg)
+        got = list(zip(cert.predictions, cert.resolved, cert.discrepancies))
+        assert bits(np.array(got)).tobytes() == bits(np.array(want)).tobytes()
+
+
 def _xlnx_reference(x):
     """The allocating -x ln x that the in-place ``_xlnx`` replaced."""
     x = np.maximum(np.asarray(x, dtype=float), 0.0)
     return -x * np.log(np.where(x > 0.0, x, 1.0))
 
 
-def _fd_gradient_reference(ev, v, f0):
+def _fd_gradient_reference(ev, v, owners, f0):
     """Gather-and-bump forward differences, building fresh copies per chunk."""
     k, m, r = v.shape
     count = m * r
@@ -367,7 +458,8 @@ def _fd_gradient_reference(ev, v, f0):
         own, col = np.divmod(np.arange(at, min(at + chunk, total)), span)
         batch = flat[own]
         batch[np.arange(own.size), col % count] += np.where(col < count, FD_STEP, 1j * FD_STEP)
-        values[at : at + own.size] = ev.objective_many(_retract(batch.reshape(-1, m, r)))
+        values[at : at + own.size] = ev.objective_many(_retract(batch.reshape(-1, m, r)),
+                                                       owners[own])
     g = (values.reshape(k, span) - f0[:, None]) / FD_STEP
     return (g[:, :count] + 1j * g[:, count:]).reshape(k, m, r)
 
@@ -387,15 +479,15 @@ class TestWorkBuffers:
         for channel, pairs, grams in ((norm_only, 0, 0), (pair, 1, 0), (mixed, 1, 1)):
             n = channel.input_dim
             rho = ginibre_density(n, rng)
-            ev = _Evaluator(rho, channel, DEFAULT_TOL)
+            ev = _Evaluator([rho], channel, DEFAULT_TOL)
             assert (len(ev.pair_specs), len(ev.gram_specs)) == (pairs, grams)
             stacks, results = [], []
             for batch in (500, 3, 500):
-                shape = (batch, n * n, ev.rank)
+                shape = (batch, n * n, ev.ranks[0])
                 stacks.append(_retract(rng.normal(size=shape) + 1j * rng.normal(size=shape)))
-                results.append(ev.objective_many(stacks[-1]))
+                results.append(ev.objective_many(stacks[-1], alone(batch)))
             for v, got in zip(stacks, results):
-                fresh = _Evaluator(rho, channel, DEFAULT_TOL).objective_many(v)
+                fresh = _Evaluator([rho], channel, DEFAULT_TOL).objective_many(v, alone(len(v)))
                 assert np.array_equal(got, fresh)
 
     def test_xlnx_bit_exact(self, rng):
@@ -422,7 +514,7 @@ class TestWorkBuffers:
         rho = ginibre_density(5, rng)
         channel = pinching([np.diag([1.0, 1, 0, 0, 0]), np.diag([0.0, 0, 1, 1, 0]),
                             np.diag([0.0, 0, 0, 0, 1])])
-        ev = _Evaluator(rho, channel, DEFAULT_TOL)
+        ev = _Evaluator([rho], channel, DEFAULT_TOL)
         v = _retract(np.stack(_start_isometries(length, 5, SolverConfig(restarts=3))))
         g = rng.normal(size=(length, 5)) + 1j * rng.normal(size=(length, 5))
         g[0, 0] = 0.0
@@ -430,10 +522,10 @@ class TestWorkBuffers:
         v[0, 0, 0] = complex(-0.0, -0.0)
         v[1].imag[v[1].imag == 0.0] = -0.0
         assert np.signbit(v[0, 0, 0].real) and np.signbit(v[0, 0, 0].imag)
-        f0 = ev.objective_many(v)
-        expected = _fd_gradient_reference(_Evaluator(rho, channel, DEFAULT_TOL), v, f0)
-        assert np.array_equal(_fd_gradient(ev, v, f0), expected)
-        assert np.array_equal(_fd_gradient(ev, v[1:], f0[1:]), expected[1:])
+        f0 = ev.objective_many(v, alone(len(v)))
+        expected = _fd_gradient_reference(_Evaluator([rho], channel, DEFAULT_TOL), v, alone(3), f0)
+        assert np.array_equal(_fd_gradient(ev, v, alone(3), f0), expected)
+        assert np.array_equal(_fd_gradient(ev, v[1:], alone(2), f0[1:]), expected[1:])
 
     def test_retract_leaves_input_and_fixes_isometries(self, rng):
         a = rng.normal(size=(6, 9, 3)) + 1j * rng.normal(size=(6, 9, 3))
@@ -489,10 +581,10 @@ class TestShortReductions:
         assert np.array_equal(bits(_segment_sum(x[..., 3 : 3 + width], out=out)), bits(expected))
 
 
-def _descend_reference(ev, starts, cfg):
+def _descend_reference(ev, starts, owners, cfg):
     """The full-ladder descent: every rung of every live restart is evaluated."""
     v = _retract(starts)
-    f = roof._objective_stack(ev, v)
+    f = roof._objective_stack(ev, v, owners)
     k, m, r = v.shape
     step = np.full(k, INITIAL_STEP)
     stalls = np.zeros(k, dtype=np.intp)
@@ -503,13 +595,15 @@ def _descend_reference(ev, starts, cfg):
     for it in range(1, cfg.max_iters + 1):
         if live.size == 0:
             break
-        grad = _fd_gradient(ev, v[live], f[live])
+        grad = _fd_gradient(ev, v[live], owners[live], f[live])
         zero = np.linalg.norm(grad.reshape(len(grad), -1), axis=1) < 1e-13
         idx = live[~zero]
         scales = step[idx, None] * ladder
         candidates = v[idx, None] - scales[..., None, None] * grad[~zero, None]
         trial = _retract(candidates.reshape(-1, m, r)).reshape(candidates.shape)
-        values = roof._objective_stack(ev, trial.reshape(-1, m, r)).reshape(scales.shape)
+        values = roof._objective_stack(
+            ev, trial.reshape(-1, m, r), np.repeat(owners[idx], LADDER)
+        ).reshape(scales.shape)
         better = values < f[idx, None]
         moved = better.any(axis=1)
         step[idx[~moved]] *= ladder[-1] * 0.5
@@ -541,14 +635,16 @@ class TestTwoStageLineSearch:
                                 np.diag([0.0, 0, 0, 0, 1])])
             cfg = SolverConfig(restarts=4, max_iters=6)
         n = channel.input_dim
-        ev = _Evaluator(rho, channel, DEFAULT_TOL)
-        starts = np.stack(_start_isometries(n * n, ev.rank, cfg))
+        ev = _Evaluator([rho], channel, DEFAULT_TOL)
+        starts = np.stack(_start_isometries(n * n, ev.ranks[0], cfg))
         calls = []
         stack = roof._objective_stack
-        monkeypatch.setattr(roof, "_objective_stack", lambda e, v: calls.append(1) or stack(e, v))
-        got = roof._descend(ev, starts.copy(), cfg)
+        monkeypatch.setattr(roof, "_objective_stack",
+                            lambda e, v, o: calls.append(1) or stack(e, v, o))
+        got = roof._descend(ev, starts.copy(), alone(cfg.restarts), cfg)
         monkeypatch.undo()
-        want = _descend_reference(_Evaluator(rho, channel, DEFAULT_TOL), starts.copy(), cfg)
+        want = _descend_reference(_Evaluator([rho], channel, DEFAULT_TOL), starts.copy(),
+                                  alone(cfg.restarts), cfg)
         # Values and isometries to the bit; converged flags and iteration counts.
         for a, b in zip(got[:2], want[:2]):
             assert np.array_equal(bits(a), bits(b))

@@ -172,6 +172,15 @@ class TestPureState:
         assert np.allclose(proj, [[0.5, 0.5], [0.5, 0.5]])
         assert np.allclose(plus.density().matrix, proj)
 
+    def test_density_keeps_its_tolerance(self):
+        # The projector's trace is the squared norm, 1.0002**2: inside LOOSE.
+        loose = PureState([1.0002, 0.0], LOOSE)
+        assert loose.density().matrix[0, 0] == 1.0002**2
+        with pytest.raises(ValidationError, match="norm"):
+            PureState([1.0002, 0.0])
+        plus = PureState(np.array([1.0, 1.0j]) / math.sqrt(2))
+        assert np.array_equal(plus.density().matrix, DensityOperator(plus.projector()).matrix)
+
 
 class TestEntropies:
     def test_diagonal_frozen_value(self):
