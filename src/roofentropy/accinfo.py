@@ -3,9 +3,10 @@
 The channel entropy of the subalgebra equals the mutual entropy of a
 canonical ensemble attached to the state, and upper-bounds the classical
 mutual information any measurement can extract from that ensemble.  This
-module builds the canonical ensemble, evaluates measurements, and brackets
+module builds the canonical ensemble, evaluates measurements, brackets
 the accessible information between the best sampled measurement and the
-solver value.
+solver value, and checks a solved roof against the entropy bound
+``H <= S(rho)``.
 
 The solver value is not a certified upper bound.  The solver's R is an
 upper bound on the true R (it is the average entropy of a decomposition it
@@ -58,9 +59,12 @@ EIG_CUTOFF = 1e-14
 MEASUREMENT_BATCH = 256  # most measurements evaluated in one _mutual_info_many call
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class Measurement:
-    """A POVM: positive outcome operators summing to the identity."""
+    """A POVM: positive outcome operators summing to the identity.
+
+    Instances compare and hash by identity; compare values through ``outcomes``.
+    """
 
     outcomes: tuple
     tol: dataclasses.InitVar[Tolerances] = DEFAULT_TOL
@@ -197,7 +201,6 @@ class BenattiBracket:
     lower: float
     upper: float
     gap: float
-    holevo_slack: float
     samples: int
     best_sample: int
     passed: bool
@@ -242,12 +245,10 @@ def benatti_bracket(
         infos[at:stop] = _mutual_info_many(ensemble, outcomes)
     best = int(np.argmax(infos))
     lower = float(infos[best])
-    slack = von_neumann_entropy(rho, tol) - upper
     return BenattiBracket(
         lower=lower,
         upper=upper,
         gap=upper - lower,
-        holevo_slack=slack,
         samples=infos.size,
         best_sample=best,
         passed=lower <= upper + 1e-6,
@@ -264,30 +265,18 @@ class HolevoCheck:
     state_entropy: float
     slack: float
     passed: bool
-    roof: RoofResult
 
 
-def holevo_check(
-    rho: DensityOperator,
-    projections: Sequence[np.ndarray],
-    config: SolverConfig | None = None,
-    tol: Tolerances = DEFAULT_TOL,
-    roof: RoofResult | None = None,
-) -> HolevoCheck:
-    """Check ``H`` of the commutative subalgebra against ``S(rho)``.
+def holevo_check(rho: DensityOperator, roof: RoofResult, tol: Tolerances = DEFAULT_TOL) -> HolevoCheck:
+    """Check a solved roof's ``value_H`` against ``S(rho)``.
 
-    ``roof`` reuses a solve of the same instance, such as
-    ``BenattiBracket.roof``; without it the roof is solved here.
+    ``roof`` is a solve of ``rho`` through any channel, such as
+    ``BenattiBracket.roof``; ``H <= S(rho)`` holds for every channel.
     """
-    rho = _coerce(rho, DensityOperator, tol)
-    if roof is None:
-        cfg = config if config is not None else SolverConfig()
-        roof = solve_R(rho, commutative_channel(projections), cfg, tol)
     s = von_neumann_entropy(rho, tol)
     return HolevoCheck(
         channel_entropy=roof.value_H,
         state_entropy=s,
         slack=s - roof.value_H,
         passed=roof.value_H <= s + 1e-6,
-        roof=roof,
     )

@@ -51,9 +51,12 @@ class KrausTerm(NamedTuple):
     matrix: np.ndarray
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class ReductionChannel:
     """A completely positive trace-preserving map onto block-diagonal output.
+
+    Instances compare and hash by identity; compare values through
+    ``block_dims`` and ``kraus``.
 
     Attributes
     ----------
@@ -113,9 +116,12 @@ class ReductionChannel:
         return sum(self.block_dims)
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class BlockDensity:
-    """Unnormalized positive blocks whose traces sum to one."""
+    """Unnormalized positive blocks whose traces sum to one.
+
+    Instances compare and hash by identity; compare values through ``blocks``.
+    """
 
     blocks: tuple
     tol: dataclasses.InitVar[Tolerances] = DEFAULT_TOL

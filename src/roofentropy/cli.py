@@ -240,14 +240,14 @@ def _cmd_accinfo(ns: argparse.Namespace) -> dict:
     cfg = _solver_config(ns)
     samples = 256 if ns.samples is None else ns.samples
     bracket = benatti_bracket(rho, projections, cfg, measurement_samples=samples, tol=tol)
-    hc = holevo_check(rho, projections, cfg, tol, roof=bracket.roof)
+    hc = holevo_check(rho, bracket.roof, tol)
     return {
         "command": "accinfo",
         "bracket": {
             "lower": bracket.lower,
             "upper": bracket.upper,
             "gap": bracket.gap,
-            "holevo_slack": bracket.holevo_slack,
+            "holevo_slack": hc.slack,
             "samples": bracket.samples,
             "best_sample": bracket.best_sample,
             "closed": bracket.closed,

@@ -20,15 +20,17 @@ from .states import (
 
 __all__ = ["Ensemble", "pure_ensemble", "convex_sum", "shorten", "mutual_entropy"]
 
-WEIGHT_CUTOFF = 1e-13  # members at or below this weight are dropped by shorten
+WEIGHT_CUTOFF = 1e-13  # members at or below this weight are dropped from a decomposition
 MERGE_TOL = 1e-9       # max-entry distance at which members merge
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class Ensemble:
     """Weights summing to one paired with density operators of equal dimension.
 
     Its validation tolerance also governs `convex_sum`, `shorten` and `mutual_entropy`.
+    Instances compare and hash by identity; compare values through
+    ``weights`` and each member's ``matrix``.
     """
 
     weights: np.ndarray

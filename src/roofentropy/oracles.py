@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .channels import _range_basis
-from .ensembles import Ensemble, convex_sum, pure_ensemble
+from .ensembles import WEIGHT_CUTOFF, Ensemble, convex_sum, pure_ensemble
 from .states import (
     DEFAULT_TOL,
     DensityOperator,
@@ -84,7 +84,7 @@ def qubit_R_series(z, terms: int) -> float:
     return float(math.log(2.0) - np.sum(u**k / (2.0 * k * (2.0 * k - 1.0))))
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class BlockExampleData:
     """Spectral data of a state relative to a distinguished unit vector.
 
@@ -94,7 +94,8 @@ class BlockExampleData:
     every overlap ``z_k = <psi_k, rho psi>`` is real nonnegative.  ``lam``
     is ``<psi, rho psi>`` and ``z = sum_k z_k``.  When ``z <= 1/2`` the
     mixing weights ``mu_plus >= mu_minus`` with sum one and product ``z^2``
-    are defined; otherwise they are NaN.
+    are defined; otherwise they are NaN.  Instances compare and hash by
+    identity; compare values through the array fields.
     """
 
     psi: PureState
@@ -208,10 +209,10 @@ def block_example_decomposition(
     degenerate = False
     if data.z <= ZERO_OVERLAP:
         for k in range(data.eigvals.size):
-            if data.eigvals[k] > 1e-13:
+            if data.eigvals[k] > WEIGHT_CUTOFF:
                 weights.append(float(data.eigvals[k]))
                 vectors.append(data.eigvecs[:, k])
-        if data.lam > 1e-13:
+        if data.lam > WEIGHT_CUTOFF:
             weights.append(data.lam)
             vectors.append(psi)
         candidate = 0.0
@@ -226,7 +227,7 @@ def block_example_decomposition(
             zk = float(data.overlaps[k])
             lk = float(data.eigvals[k])
             if zk <= ZERO_OVERLAP:
-                if lk > 1e-13:
+                if lk > WEIGHT_CUTOFF:
                     weights.append(lk)
                     vectors.append(data.eigvecs[:, k])
                 continue
@@ -245,10 +246,10 @@ def block_example_decomposition(
             p_plus, p_minus = max(p_plus, 0.0), max(p_minus, 0.0)
             cross_minus += p_plus * mu_m + p_minus * mu_p
             vec_k = data.eigvecs[:, k]
-            if p_plus > 1e-13:
+            if p_plus > WEIGHT_CUTOFF:
                 weights.append(p_plus)
                 vectors.append(sp * vec_k + sm * psi)
-            if p_minus > 1e-13:
+            if p_minus > WEIGHT_CUTOFF:
                 weights.append(p_minus)
                 vectors.append(sm * vec_k + sp * psi)
         if not degenerate and abs(cross_minus - data.lam) > 1e-8:

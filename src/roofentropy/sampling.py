@@ -25,9 +25,9 @@ def _complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def ginibre_density(dim: int, rng: np.random.Generator, rank: int | None = None) -> DensityOperator:
-    """Full-rank (or fixed-rank) random density operator G G^dag / Tr."""
-    g = _complex_gaussian(rng, (dim, rank if rank is not None else dim))
+def ginibre_density(dim: int, rng: np.random.Generator) -> DensityOperator:
+    """Full-rank random density operator G G^dag / Tr."""
+    g = _complex_gaussian(rng, (dim, dim))
     m = g @ g.conj().T
     return DensityOperator(m / np.trace(m).real)
 
@@ -74,12 +74,12 @@ def _column_projections(u: np.ndarray, sizes) -> list:
     return [u[:, a:b] @ u[:, a:b].conj().T for a, b in zip(edges[:-1], edges[1:])]
 
 
-def random_pinching(dim: int, rng: np.random.Generator, parts: int | None = None) -> ReductionChannel:
-    return pinching(random_projections(dim, rng, parts))
+def random_pinching(dim: int, rng: np.random.Generator) -> ReductionChannel:
+    return pinching(random_projections(dim, rng))
 
 
-def random_commutative(dim: int, rng: np.random.Generator, parts: int | None = None) -> ReductionChannel:
-    return commutative_channel(random_projections(dim, rng, parts))
+def random_commutative(dim: int, rng: np.random.Generator) -> ReductionChannel:
+    return commutative_channel(random_projections(dim, rng))
 
 
 def random_ensemble(dim: int, size: int, rng: np.random.Generator) -> Ensemble:

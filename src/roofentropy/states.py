@@ -19,10 +19,6 @@ __all__ = [
     "ValidationError",
     "DensityOperator",
     "PureState",
-    "hermiticity_defect",
-    "eigh",
-    "canonical_eigh",
-    "entropy_of_spectrum",
     "shannon_entropy",
     "von_neumann_entropy",
     "relative_entropy",
@@ -90,11 +86,6 @@ def _as_square_matrix(m, subject: str = "matrix") -> np.ndarray:
 def _max_asymmetry(a: np.ndarray) -> float:
     """``max |a - a^dag|`` of an already checked square array."""
     return float(np.max(np.abs(a - a.conj().T)))
-
-
-def hermiticity_defect(m) -> float:
-    """Max-entry distance between ``m`` and its conjugate transpose."""
-    return _max_asymmetry(_as_square_matrix(m))
 
 
 def _checked_hermitian(m, tol: Tolerances, subject: str) -> np.ndarray:
@@ -197,12 +188,13 @@ def canonical_eigh(m, tol: Tolerances = DEFAULT_TOL):
     return _order_degenerate_columns(w, v)
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class DensityOperator:
     """A positive semidefinite matrix with unit trace.
 
     The stored matrix is hermitized, copied, and marked read-only on
     construction; validation failures raise :class:`ValidationError`.
+    Instances compare and hash by identity; compare values through ``matrix``.
     """
 
     matrix: np.ndarray
@@ -227,11 +219,12 @@ class DensityOperator:
         return float(np.trace(self.matrix @ self.matrix).real)
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class PureState:
     """A unit vector; ``density()`` gives the rank-one projection onto it.
 
-    Its validation tolerance also governs ``density()``.
+    Its validation tolerance also governs ``density()``.  Instances compare
+    and hash by identity; compare values through ``vector``.
     """
 
     vector: np.ndarray
@@ -261,7 +254,13 @@ class PureState:
         return np.outer(self.vector, self.vector.conj())
 
     def density(self) -> DensityOperator:
-        return DensityOperator(self.projector(), self._tol)
+        """The projector, divided by its trace (the squared norm) only when
+        that trace misses one by more than the tolerance the norm passed."""
+        p = self.projector()
+        tr = float(np.trace(p).real)
+        if abs(tr - 1.0) > self._tol.value:
+            p /= tr
+        return DensityOperator(p, self._tol)
 
 
 def _xlnx(x, out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:

@@ -55,7 +55,7 @@ from .states import (
     von_neumann_entropy,
 )
 
-__all__ = ["run_verify", "VERIFY_SOLVER"]
+__all__ = ["run_verify"]
 
 VERIFY_SOLVER = SolverConfig(restarts=5, max_iters=250)
 
@@ -396,7 +396,8 @@ def _check_holevo(rng, n, cfg):
     worst = -math.inf
     for _ in range(2 * n):
         dim = int(rng.integers(2, 5))
-        hc = holevo_check(ginibre_density(dim, rng), random_projections(dim, rng), cfg)
+        rho = ginibre_density(dim, rng)
+        hc = holevo_check(rho, solve_R(rho, commutative_channel(random_projections(dim, rng)), cfg))
         worst = max(worst, hc.channel_entropy - hc.state_entropy)
     return worst <= 1e-6, {"max_H_minus_S": worst}
 

@@ -18,6 +18,7 @@ from roofentropy import (
     benatti_bracket,
     block_example_analyze,
     block_example_decomposition,
+    commutative_channel,
     convex_sum,
     diagonal_pinching,
     holevo_check,
@@ -222,7 +223,7 @@ def test_criterion_07_holevo_bound(capsys):
         dim = int(rng.integers(2, 5))
         rho = ginibre_density(dim, rng)
         projs = random_projections(dim, rng)
-        check = holevo_check(rho, projs, QUICK)
+        check = holevo_check(rho, solve_R(rho, commutative_channel(projs), QUICK))
         worst = max(worst, check.channel_entropy - check.state_entropy)
     ok = worst <= 1e-6
     assert _report(

@@ -10,12 +10,16 @@ from roofentropy import (
     ValidationError,
     benatti_bracket,
     channel_from_measurement,
+    commutative_channel,
     convex_sum,
+    diagonal_pinching,
     ensemble_from_subalgebra,
     holevo_check,
     measurement_mutual_info,
     mutual_entropy,
     reduce_state,
+    solve_R,
+    von_neumann_entropy,
 )
 from roofentropy.sampling import (
     _haar_unitaries,
@@ -297,18 +301,21 @@ class TestBenattiBracket:
         assert bracket.lower == values[bracket.best_sample]
 
     def test_holevo_slack_field(self):
-        bracket = benatti_bracket(
-            DensityOperator(RHO), DIAG_PROJS, FAST, measurement_samples=4
-        )
-        assert bracket.holevo_slack == pytest.approx(
-            0.5895144857350482 - bracket.upper, abs=1e-12
-        )
-        assert bracket.holevo_slack >= -1e-6
+        rho = DensityOperator(RHO)
+        bracket = benatti_bracket(rho, DIAG_PROJS, FAST, measurement_samples=4)
+        slack = holevo_check(rho, bracket.roof).slack
+        assert slack == pytest.approx(0.5895144857350482 - bracket.upper, abs=1e-12)
+        assert slack >= -1e-6
+
+
+def _solved_check(rho, projs):
+    """``holevo_check`` of a fresh solve through the subalgebra's channel."""
+    return holevo_check(rho, solve_R(rho, commutative_channel(projs), FAST))
 
 
 class TestHolevoCheck:
     def test_qubit_strict_gap(self):
-        check = holevo_check(DensityOperator(RHO), DIAG_PROJS, FAST)
+        check = _solved_check(DensityOperator(RHO), DIAG_PROJS)
         assert check.channel_entropy == pytest.approx(0.49956897502018127, abs=1e-6)
         assert check.state_entropy == pytest.approx(0.5895144857350482, abs=1e-12)
         assert check.slack == pytest.approx(
@@ -317,7 +324,7 @@ class TestHolevoCheck:
         assert check.passed
 
     def test_maximally_mixed_saturates(self):
-        check = holevo_check(DensityOperator(np.eye(2) / 2), DIAG_PROJS, FAST)
+        check = _solved_check(DensityOperator(np.eye(2) / 2), DIAG_PROJS)
         assert check.channel_entropy == pytest.approx(LN2, abs=1e-7)
         assert check.state_entropy == pytest.approx(LN2, abs=1e-12)
         assert abs(check.slack) <= 1e-6
@@ -329,5 +336,15 @@ class TestHolevoCheck:
             h = g @ g.conj().T
             rho = DensityOperator(h / np.trace(h).real)
             projs = (np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 1.0]))
-            check = holevo_check(rho, projs, FAST)
+            check = _solved_check(rho, projs)
             assert check.passed
+
+    def test_checks_the_given_roof(self, rng):
+        # H <= S(rho) holds through any channel; the check reads the roof as given.
+        rho = ginibre_density(3, rng)
+        roof = solve_R(rho, diagonal_pinching(3), FAST)
+        check = holevo_check(rho, roof)
+        assert check.channel_entropy == roof.value_H
+        assert check.state_entropy == von_neumann_entropy(rho)
+        assert check.slack == check.state_entropy - roof.value_H
+        assert check.passed

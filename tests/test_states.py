@@ -181,6 +181,17 @@ class TestPureState:
         plus = PureState(np.array([1.0, 1.0j]) / math.sqrt(2))
         assert np.array_equal(plus.density().matrix, DensityOperator(plus.projector()).matrix)
 
+    def test_density_of_every_admitted_norm(self):
+        # Each norm is inside the tolerance, but its square, the projector's
+        # trace, is not: the projector is divided by that trace.
+        for vector, tol in (([1 + 8e-10, 0.0], DEFAULT_TOL), ([1.0005, 0.0], LOOSE)):
+            state = PureState(vector, tol)
+            trace = float(np.trace(state.projector()).real)
+            assert abs(trace - 1.0) > tol.value
+            rho = state.density()
+            assert np.array_equal(rho.matrix, state.projector() / trace)
+            assert abs(np.trace(rho.matrix).real - 1.0) <= tol.value
+
 
 class TestEntropies:
     def test_diagonal_frozen_value(self):
