@@ -5,12 +5,15 @@ unnormalized pure pieces arises from an ``m x r`` column isometry ``V``
 applied to the square-root-scaled eigenvectors of the state.  The solver
 searches that isometry manifold with multi-start descent along the
 forward-difference gradient of the objective composed with the QR
-retraction, so iterates stay on the manifold.  The restarts run in lockstep
-as one stack of isometries; each keeps its own step and stopping rule and
-leaves the stack when it stops.  Solves of several states under one channel
-(the affinity certificate's re-solves, say) share such a stack: every
-isometry carries the index of its state, and each state's restarts follow
-the path they follow when that state is solved alone.
+retraction, so iterates stay on the manifold.  The retraction runs LAPACK's
+QR in place on stacks the solver owns (its gradient copies, line-search
+candidates and starts) and reads only R's diagonal, so it allocates little
+more than Q.  The restarts run in lockstep as one stack of isometries; each
+keeps its own step and stopping rule and leaves the stack when it stops.
+Solves of several states under one channel (the affinity certificate's
+re-solves, say) share such a stack: every isometry carries the index of its
+state, and each state's restarts follow the path they follow when that
+state is solved alone.
 
 The line search tries the two longest steps of its halving ladder first and
 the shorter ones only for restarts those did not improve.  Objective calls
@@ -27,6 +30,8 @@ import json
 import math
 
 import numpy as np
+# The gufuncs behind np.linalg.qr (numpy >= 2.0), called on the solver's own stacks.
+from numpy.linalg._umath_linalg import qr_r_raw as _qr_r_raw, qr_reduced as _qr_reduced
 
 from .channels import ReductionChannel, block_entropy, reduce_state
 from .ensembles import WEIGHT_CUTOFF, Ensemble, pure_ensemble, shorten
@@ -393,14 +398,30 @@ class _Evaluator:
         return np.add(sq[..., 0::2], sq[..., 1::2], out=self.work(name, z.shape))
 
 
+def _qr_failed(err, flag):
+    """``np.errstate`` handler: LAPACK flagged an argument of a QR gufunc."""
+    raise np.linalg.LinAlgError("Incorrect argument found while performing QR factorization")
+
+
 def _retract(a: np.ndarray) -> np.ndarray:
-    """QR re-orthonormalization with positive-real R-diagonal.
+    """QR re-orthonormalization with positive-real R-diagonal, consuming ``a``.
 
     Acts along the last two axes; fixed phases make the map the identity on
-    matrices that are already isometric.  ``a`` is left unchanged.
+    matrices that are already isometric.  The reduced Q is bit for bit
+    ``np.linalg.qr(a)``'s: the same two LAPACK gufuncs run, but on ``a``
+    itself, which the first overwrites with its Householder output when
+    ``a`` is a C-contiguous writeable float64 or complex128 array (any other
+    input is copied first).  Only R's diagonal is read, from that output;
+    R itself is never built.  A failed factorization raises ``LinAlgError``.
     """
-    q, r = np.linalg.qr(a)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
+    kind = "D" if np.iscomplexobj(a) else "d"
+    if not (a.dtype == kind and a.flags.c_contiguous and a.flags.writeable):
+        a = a.astype(kind)
+    with np.errstate(call=_qr_failed, invalid="call", over="ignore", divide="ignore",
+                     under="ignore"):
+        tau = _qr_r_raw(a, signature=f"{kind}->{kind}")
+        q = _qr_reduced(a, tau, signature=f"{kind}{kind}->{kind}")
+    d = np.diagonal(a, axis1=-2, axis2=-1)
     mag = np.abs(d)
     phase = np.where(mag > 0.0, d / np.where(mag > 0.0, mag, 1.0), 1.0)
     q *= phase[..., None, :]
@@ -420,7 +441,8 @@ def _fd_gradient(
     restart's owner.  Each chunk's copies are gathered into one of the
     evaluator's work arrays, and only the bumped entry of each copy is then
     added to: a broadcast add would turn its -0.0 entries into +0.0, which
-    flips the sign QR gives a reflector.
+    flips the sign QR gives a reflector.  The retraction then consumes the
+    work array in place.
     """
     k, m, r = v.shape
     count = m * r
@@ -465,8 +487,10 @@ def _descend(ev: _Evaluator, starts: np.ndarray, owners: np.ndarray, cfg: Solver
     line search moves to the first rung of the halving ladder that improves.
     It evaluates the first ``FIRST_RUNGS`` rungs for every restart, then the
     rest only for the restarts with no improving rung yet; rungs it skips
-    count as +inf, so the pick is the one a full ladder gives.  Returns the
-    per-restart values, isometries, converged flags and iteration counts.
+    count as +inf, so the pick is the one a full ladder gives.  ``starts``
+    is consumed: the first retraction overwrites it, as later ones overwrite
+    each stage's fresh candidate stack.  Returns the per-restart values,
+    isometries, converged flags and iteration counts.
     """
     v = _retract(starts)
     f = _objective_stack(ev, v, owners)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import roof
 from .channels import ReductionChannel, commutative_channel, pinching
 from .ensembles import Ensemble
 from .states import DensityOperator, PureState
@@ -46,12 +47,12 @@ def _haar_unitaries(count: int, dim: int, rng: np.random.Generator) -> np.ndarra
 
     The stream is read unitary by unitary (real part, then imaginary part)
     and the QR acts slice by slice, so slice ``s`` is the ``s``-th of
-    ``count`` sequential ``haar_unitary`` calls on the same generator.
+    ``count`` sequential ``haar_unitary`` calls on the same generator.  The
+    QR is the solver's positive-diagonal retraction, called through its
+    module so that a tracer wrapping ``roof._retract`` sees it.
     """
     g = rng.standard_normal((count, 2, dim, dim))
-    q, r = np.linalg.qr(g[:, 0] + 1j * g[:, 1])
-    d = np.diagonal(r, axis1=1, axis2=2)
-    return q * (d / np.abs(d))[:, None, :]
+    return roof._retract(g[:, 0] + 1j * g[:, 1])
 
 
 def random_partition(total: int, rng: np.random.Generator, parts: int | None = None) -> list:

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -444,6 +445,16 @@ def _xlnx_reference(x):
     return -x * np.log(np.where(x > 0.0, x, 1.0))
 
 
+def _retract_reference(a):
+    """The ``np.linalg.qr`` retraction that the in-place ``_retract`` replaced."""
+    q, r = np.linalg.qr(a)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    mag = np.abs(d)
+    phase = np.where(mag > 0.0, d / np.where(mag > 0.0, mag, 1.0), 1.0)
+    q *= phase[..., None, :]
+    return q
+
+
 def _fd_gradient_reference(ev, v, owners, f0):
     """Gather-and-bump forward differences, building fresh copies per chunk."""
     k, m, r = v.shape
@@ -458,8 +469,8 @@ def _fd_gradient_reference(ev, v, owners, f0):
         own, col = np.divmod(np.arange(at, min(at + chunk, total)), span)
         batch = flat[own]
         batch[np.arange(own.size), col % count] += np.where(col < count, FD_STEP, 1j * FD_STEP)
-        values[at : at + own.size] = ev.objective_many(_retract(batch.reshape(-1, m, r)),
-                                                       owners[own])
+        values[at : at + own.size] = ev.objective_many(
+            _retract_reference(batch.reshape(-1, m, r)), owners[own])
     g = (values.reshape(k, span) - f0[:, None]) / FD_STEP
     return (g[:, :count] + 1j * g[:, count:]).reshape(k, m, r)
 
@@ -527,15 +538,46 @@ class TestWorkBuffers:
         assert np.array_equal(_fd_gradient(ev, v, alone(3), f0), expected)
         assert np.array_equal(_fd_gradient(ev, v[1:], alone(2), f0[1:]), expected[1:])
 
-    def test_retract_leaves_input_and_fixes_isometries(self, rng):
+    def test_retract_overwrites_input_and_fixes_isometries(self, rng):
+        # A C-contiguous complex stack is the retraction's to overwrite.
         a = rng.normal(size=(6, 9, 3)) + 1j * rng.normal(size=(6, 9, 3))
         a[0, 0] = -0.0
         keep = a.copy()
         q = _retract(a)
-        assert np.array_equal(bits(a), bits(keep))
-        assert np.allclose(_retract(q), q, atol=1e-14)
+        assert not np.array_equal(bits(a), bits(keep))
+        assert np.allclose(_retract(q.copy()), q, atol=1e-14)
         eye = np.eye(3)
         assert np.allclose(q.conj().transpose(0, 2, 1) @ q, eye, atol=1e-13)
+
+    @pytest.mark.parametrize("shape", [(40, 4, 2), (30, 25, 5), (20, 36, 6)],
+                             ids=["qubit", "d5", "d6"])
+    def test_retract_matches_reference(self, rng, shape):
+        # Signed zeros pick the sign of a Householder reflector, and an
+        # all-zero column gives a zero R-diagonal entry, whose phase is 1.
+        a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        a[0, 0] = -0.0
+        a[1].imag[a[1].imag < 0.5] = -0.0
+        a[2, :, 1] = 0.0
+        for x in (a, a.real.copy()):
+            expected = bits(_retract_reference(x))
+            assert np.array_equal(bits(_retract(x.copy())), expected)
+            # A view in another memory order is copied, with the same result.
+            view = np.moveaxis(np.moveaxis(x, 0, -1).copy(), -1, 0)
+            assert np.array_equal(bits(_retract(view)), expected)
+            assert np.array_equal(bits(view), bits(x))
+
+    def test_retract_allocates_little_beyond_q(self, rng):
+        # A d = 6 gradient chunk.  np.linalg.qr copied its input and built R
+        # on top of Q, about 2.4x the input's bytes at peak.
+        a = rng.normal(size=(227, 36, 6)) + 1j * rng.normal(size=(227, 36, 6))
+        tracemalloc.start()
+        try:
+            q = _retract(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert q.shape == a.shape
+        assert peak <= 1.25 * a.nbytes
 
     def test_solves_in_one_process_repeat_bytes(self, rng):
         rho3, rho4 = ginibre_density(3, rng), ginibre_density(4, rng)
@@ -583,7 +625,7 @@ class TestShortReductions:
 
 def _descend_reference(ev, starts, owners, cfg):
     """The full-ladder descent: every rung of every live restart is evaluated."""
-    v = _retract(starts)
+    v = _retract_reference(starts)
     f = roof._objective_stack(ev, v, owners)
     k, m, r = v.shape
     step = np.full(k, INITIAL_STEP)
@@ -595,12 +637,12 @@ def _descend_reference(ev, starts, owners, cfg):
     for it in range(1, cfg.max_iters + 1):
         if live.size == 0:
             break
-        grad = _fd_gradient(ev, v[live], owners[live], f[live])
+        grad = _fd_gradient_reference(ev, v[live], owners[live], f[live])
         zero = np.linalg.norm(grad.reshape(len(grad), -1), axis=1) < 1e-13
         idx = live[~zero]
         scales = step[idx, None] * ladder
         candidates = v[idx, None] - scales[..., None, None] * grad[~zero, None]
-        trial = _retract(candidates.reshape(-1, m, r)).reshape(candidates.shape)
+        trial = _retract_reference(candidates.reshape(-1, m, r)).reshape(candidates.shape)
         values = roof._objective_stack(
             ev, trial.reshape(-1, m, r), np.repeat(owners[idx], LADDER)
         ).reshape(scales.shape)
