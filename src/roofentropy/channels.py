@@ -68,11 +68,16 @@ class ReductionChannel:
         Kraus operators; term ``(b, K)`` has ``K`` of shape
         ``(block_dims[b], input_dim)``.  Completeness is enforced to
         ``1e-10`` on construction.
+    by_block : tuple of tuple of ndarray
+        Derived on construction: entry ``b`` holds the Kraus matrices of
+        the terms tagged ``b``, in term order (empty for a block no term
+        feeds).
     """
 
     input_dim: int
     block_dims: tuple
     kraus: tuple
+    by_block: tuple = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self):
         n = _require_int("input_dim", self.input_dim, 1)
@@ -106,6 +111,9 @@ class ReductionChannel:
         object.__setattr__(self, "input_dim", n)
         object.__setattr__(self, "block_dims", dims)
         object.__setattr__(self, "kraus", tuple(terms))
+        object.__setattr__(self, "by_block", tuple(
+            tuple(t.matrix for t in terms if t.block == b) for b in range(len(dims))
+        ))
 
     @property
     def block_count(self) -> int:
@@ -165,10 +173,11 @@ def reduce_state(channel: ReductionChannel, rho, tol: Tolerances = DEFAULT_TOL) 
     rho = _coerce(rho, DensityOperator, tol)
     if rho.dim != channel.input_dim:
         raise ValidationError(f"state dimension {rho.dim} != channel input {channel.input_dim}")
-    blocks = [np.zeros((d, d), dtype=complex) for d in channel.block_dims]
-    for b, k in channel.kraus:
-        blocks[b] += k @ rho.matrix @ k.conj().T
-    return BlockDensity(tuple(blocks), tol)
+    blocks = tuple(
+        sum((k @ rho.matrix @ k.conj().T for k in ops), np.zeros((d, d), dtype=complex))
+        for ops, d in zip(channel.by_block, channel.block_dims)
+    )
+    return BlockDensity(blocks, tol)
 
 
 def block_entropy(bd: BlockDensity, tol: Tolerances = DEFAULT_TOL) -> float:

@@ -84,7 +84,7 @@ def _load_json(raw: str, what: str):
         try:
             with open(raw, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ValidationError(f"{what}: cannot read file {raw!r}: {exc}")
         origin = f"file {raw!r}"
     try:
@@ -94,6 +94,8 @@ def _load_json(raw: str, what: str):
             f"{what}: malformed JSON in {origin} at line {exc.lineno}, "
             f"column {exc.colno}: {exc.msg}"
         )
+    except RecursionError:
+        raise ValidationError(f"{what}: JSON in {origin} is nested too deeply to decode")
 
 
 def _require_input(ns: argparse.Namespace, key: str) -> str:

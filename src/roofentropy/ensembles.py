@@ -45,6 +45,8 @@ class Ensemble:
             raise ValidationError("ensemble needs at least one member")
         if w.size != len(self.states):
             raise ValidationError(f"{w.size} weights vs {len(self.states)} states")
+        if not np.isfinite(w).all():
+            raise ValidationError(f"ensemble weights must be finite, got {w.tolist()!r}")
         if float(w.min()) < -tol.value:
             raise ValidationError(f"negative weight {float(w.min()):.3e}")
         total = float(w.sum())

@@ -56,13 +56,6 @@ def _decode_scalar(value, what="number"):
     raise ValidationError(f"cannot decode {what}: expected a number or [re, im] pair, got {value!r}")
 
 
-def _decode_int(value, what: str) -> int:
-    """A JSON integer literal; strings, booleans, ``null`` and floats (even ``2.0``) are not."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValidationError(f"{what} must be a JSON integer, got {value!r}")
-    return int(value)
-
-
 def _decode_projections(data, what="projections") -> list:
     """A nonempty array of projection matrices, decoded but not yet checked."""
     if not isinstance(data, list) or not data:
@@ -148,7 +141,7 @@ def channel_from_json(data) -> ReductionChannel:
         kind = data["type"]
         if kind == "diagonal":
             _require_keys(data, ("type", "dim"), what="diagonal channel")
-            return diagonal_pinching(_decode_int(data["dim"], "diagonal channel dim"))
+            return diagonal_pinching(data["dim"])
         if kind == "block_compression":
             _require_keys(data, ("type", "psi"), what="block compression channel")
             return block_compression(PureState(decode_vector(data["psi"], "psi")))

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .channels import _range_basis
+from .channels import block_compression
 from .ensembles import WEIGHT_CUTOFF, Ensemble, convex_sum, pure_ensemble
 from .states import (
     DEFAULT_TOL,
@@ -117,17 +117,15 @@ def block_example_analyze(
 
     Checks the Cauchy-Schwarz relation ``z_k^2 <= lambda_k * lam`` for every
     eigendirection and the defining identities of ``mu_plus``/``mu_minus``
-    when they exist.
+    when they exist.  The complement of ``psi`` is spanned by block 0 of
+    ``block_compression(psi)``, the channel this is the oracle for, so
+    ``psi`` must pass that channel's checks.
     """
     rho = _coerce(rho, DensityOperator, tol)
     psi = _coerce(psi, PureState, tol)
     if rho.dim != psi.dim:
         raise ValidationError(f"dimension mismatch: state {rho.dim} vs vector {psi.dim}")
-    n1 = rho.dim
-    if n1 < 2:
-        raise ValidationError("block example needs input dimension >= 2")
-    q = np.eye(n1) - psi.projector()
-    w = _range_basis(q)  # (n, n1) rows span the complement of psi
+    w = block_compression(psi).by_block[0][0]  # (n, n + 1) rows span the complement of psi
     compressed = w @ rho.matrix @ w.conj().T
     eigvals, u = canonical_eigh(compressed, tol)
     eigvals = np.where(eigvals < 0.0, 0.0, eigvals)

@@ -153,6 +153,8 @@ def decomposition_from_isometry(
     v = np.asarray(isometry, dtype=complex)
     if v.ndim != 2:
         raise ValidationError(f"isometry must be a matrix, got shape {v.shape}")
+    if not np.isfinite(v).all():
+        raise ValidationError("isometry has non-finite entries")
     m, r = v.shape
     gram = v.conj().T @ v
     defect = float(np.max(np.abs(gram - np.eye(r))))
@@ -265,42 +267,21 @@ class _Evaluator:
             lam, vecs = _clean_rank(rho, tol)
             self.roots.append((vecs * np.sqrt(lam)).T)
         self.ranks = [root.shape[0] for root in self.roots]
-        per_block: dict[int, list[np.ndarray]] = {b: [] for b in range(channel.block_count)}
-        for b, k in channel.kraus:
-            per_block[b].append(k)
-        norm_rows: list[np.ndarray] = []
-        norm_segments: list[tuple[int, int]] = []  # (start, width) of each norm block
+        blocks = [(ops, d) for ops, d in zip(channel.by_block, channel.block_dims) if ops]
+        norm = [(ops, d) for ops, d in blocks if d == 1 or len(ops) == 1]
+        gram = [(ops, d) for ops, d in blocks if d > 1 and len(ops) > 1]
+        # Columns of kraus_t: the norm blocks' rows, then each Gram block's.
+        # A spec is (start, width) of a norm block, or (start, terms, d) of
+        # a block with two terms (pair_specs) or more (gram_specs).
+        self.norm_segments, self.pair_specs, self.gram_specs = [], [], []
         at = 0
-        pair_specs = []  # (start, d) after the norm section: two Kraus terms
-        gram_specs = []  # (list of starts after the norm section, d): three or more
-        gram_rows: list[np.ndarray] = []
-        gram_at = 0
-        for b in range(channel.block_count):
-            ops = per_block[b]
-            if not ops:
-                continue
-            d = channel.block_dims[b]
-            if d == 1 or len(ops) == 1:
-                width = sum(k.shape[0] for k in ops)
-                norm_segments.append((at, width))
-                norm_rows.extend(ops)
-                at += width
-            else:
-                spans = []
-                for k in ops:
-                    gram_rows.append(k)
-                    spans.append(gram_at)
-                    gram_at += d
-                if len(spans) == 2:
-                    pair_specs.append((spans[0], d))
-                else:
-                    gram_specs.append((spans, d))
-        self.norm_count = at
-        self.norm_segments = norm_segments
-        self.pair_specs = pair_specs
-        self.gram_specs = gram_specs
-        stacked = norm_rows + gram_rows
-        self.kraus_t = np.vstack(stacked).T.copy() if stacked else None
+        for ops, d in norm:
+            self.norm_segments.append((at, len(ops) * d))
+            at += len(ops) * d
+        for ops, d in gram:
+            (self.pair_specs if len(ops) == 2 else self.gram_specs).append((at, len(ops), d))
+            at += len(ops) * d
+        self.kraus_t = np.vstack([k for ops, _ in norm + gram for k in ops]).T.copy()
         self._buffers: dict[str, np.ndarray] = {}
 
     def work(self, name: str, shape: tuple, dtype=float) -> np.ndarray:
@@ -364,8 +345,7 @@ class _Evaluator:
         total = _xlnx(norm_part, out=norm_part, scratch=self.work("ln", norm_part.shape)).sum(
             axis=(-1, -2)
         )
-        for s, d in self.pair_specs:
-            at = self.norm_count + s
+        for at, _, d in self.pair_specs:
             g00 = _row_sum(nu[..., at : at + d], out=self.work("g00", (batch, m)))
             g11 = _row_sum(nu[..., at + d : at + 2 * d], out=self.work("g11", (batch, m)))
             prod = np.conjugate(a[..., at : at + d], out=self.work("prod", (batch, m, d), complex))
@@ -373,14 +353,13 @@ class _Evaluator:
             g01 = _row_sum(prod, out=self.work("g01", (batch, m), complex))
             pair = _pair_entropy(g00, g11, g01, out=self.work("pair", (3, batch, m)))
             total += _row_sum(pair, out=self.work("pair_sum", (batch,)))
-        for spans, d in self.gram_specs:
-            cols = [a[..., self.norm_count + s : self.norm_count + s + d] for s in spans]
-            shape = (batch, m, len(spans), d)
-            stackv = np.stack(cols, axis=-2, out=self.work("stack", shape, complex))
+        for at, t, d in self.gram_specs:
+            shape = (batch, m, t, d)
+            stackv = self.work("stack", shape, complex)
+            stackv[...] = a[..., at : at + t * d].reshape(shape)
             conj = np.conjugate(stackv, out=self.work("conj", shape, complex))
             gram = np.einsum(
-                "...ip,...tp->...it", conj, stackv,
-                out=self.work("gram", (batch, m, len(spans), len(spans)), complex),
+                "...ip,...tp->...it", conj, stackv, out=self.work("gram", (batch, m, t, t), complex)
             )
             eigs = np.linalg.eigvalsh(gram)
             total += _xlnx(eigs, out=eigs).sum(axis=(-1, -2))
@@ -738,15 +717,10 @@ def zero_entropy_structure(
         )
     rho = _coerce(rho, DensityOperator, tol)
     lam, vecs = _clean_rank(rho, tol)
-    per_block: dict[int, list[np.ndarray]] = {}
-    for b, k in channel.kraus:
-        per_block.setdefault(b, []).append(k)
     # Center generators: pulled-back block identities Σ_i K_i†K_i.  Matrix
     # units within a block shift vectors around the block range, so only the
     # center admits common eigenvectors at all.
-    generators = []
-    for b, ops in sorted(per_block.items()):
-        generators.append(sum(k.conj().T @ k for k in ops))
+    generators = [sum(k.conj().T @ k for k in ops) for ops in channel.by_block if ops]
     residuals = []
     for j in range(lam.size):
         vec = vecs[:, j]

@@ -416,7 +416,7 @@ def _check_zero_structure(rng, n, cfg):
         ch = random_pinching(dim, rng)
         # a pure state inside one block range is a center eigenvector
         blk = int(rng.integers(0, ch.block_count))
-        basis = next(k for b, k in ch.kraus if b == blk)
+        basis = ch.by_block[blk][0]
         coeff = rng.normal(size=basis.shape[0]) + 1j * rng.normal(size=basis.shape[0])
         vec = basis.conj().T @ coeff
         vec = vec / np.linalg.norm(vec)

@@ -78,6 +78,15 @@ class TestReductionChannel:
         assert ch.block_count == 3
         assert ch.output_dim == 3
 
+    def test_kraus_grouped_by_block_in_term_order(self):
+        s = math.sqrt(0.5)
+        terms = ((2, [[s, 0.0]]), (0, s * np.eye(2)), (2, [[0.0, s]]))
+        ch = ReductionChannel(2, (2, 1, 1), terms)
+        assert [len(ops) for ops in ch.by_block] == [1, 0, 2]
+        assert np.array_equal(ch.by_block[0][0], s * np.eye(2))
+        assert [k.tolist() for k in ch.by_block[2]] == [[[s, 0.0]], [[0.0, s]]]
+        assert "by_block" not in repr(ch)
+
 
 class TestIdentityChannel:
     def test_reduce_is_identity(self, rng):

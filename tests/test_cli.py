@@ -63,6 +63,9 @@ MALFORMED = {
                        "block"),
     "weights-string": (("mutual", "--ensemble", '{"weights":["a"],"states":[[[1,0],[0,0]]]}',
                         "--channel", DIAG2), "weights"),
+    "weights-nan": (("mutual", "--ensemble",
+                     '{"weights":[NaN,1.0],"states":[[[1,0],[0,0]],[[0,0],[0,1]]]}',
+                     "--channel", DIAG2), "weights"),
     "z-pair-string": (("qubit-oracle", "--z", '[1,"a"]'), "--z"),
     "state-booleans": (("entropy", "--state", "[[true,0],[0,false]]"), "density matrix"),
     "prefix-terms": (("qubit-oracle", "--z", "0.3", "--te", "5"), "--te"),
@@ -451,6 +454,20 @@ class TestErrorPaths:
         status, _, err = run_main(capsys, "entropy", "--state", "[[0.5,")
         assert status == 1
         assert "inline value" in err
+
+    def test_undecodable_file_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "state.bin"
+        path.write_bytes(b"\xff\xfe\x00\x80")
+        status, out, err = run_main(capsys, "entropy", "--state", str(path))
+        assert status == 1
+        assert out == ""
+        assert err.startswith("error: --state: cannot read file")
+
+    def test_deeply_nested_inline_exits_one(self, capsys):
+        status, out, err = run_main(capsys, "entropy", "--state", "[" * 5000 + "]" * 5000)
+        assert status == 1
+        assert out == ""
+        assert err.startswith("error: --state:") and "nested too deeply" in err
 
     def test_missing_required_input(self, capsys):
         status, _, err = run_main(capsys, "qubit-oracle")

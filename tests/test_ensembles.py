@@ -39,6 +39,11 @@ class TestEnsemble:
         with pytest.raises(ValidationError):
             Ensemble(np.array([1.2, -0.2]), (DensityOperator(np.eye(2) / 2),) * 2)
 
+    def test_non_finite_weight_rejected(self):
+        # NaN fails both the negativity and the weight-sum comparison.
+        with pytest.raises(ValidationError, match="weights must be finite"):
+            Ensemble(np.array([np.nan, 1.0]), (DensityOperator(np.eye(2) / 2),) * 2)
+
     def test_length_mismatch(self):
         with pytest.raises(ValidationError):
             Ensemble(np.array([0.5, 0.5]), (DensityOperator(np.eye(2) / 2),))

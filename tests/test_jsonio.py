@@ -167,7 +167,7 @@ class TestChannels:
 
     @pytest.mark.parametrize("dim", ["2", True, None, 2.7, 2.0, float("inf")])
     def test_dim_must_be_a_json_integer(self, dim):
-        with pytest.raises(ValidationError, match="dim must be a JSON integer"):
+        with pytest.raises(ValidationError, match="diagonal pinching dimension must be an integer"):
             channel_from_json({"type": "diagonal", "dim": dim})
 
     @pytest.mark.parametrize(

@@ -8,6 +8,8 @@ from roofentropy import (
     BlockExampleData,
     DensityOperator,
     PureState,
+    ReductionChannel,
+    SolverConfig,
     Tolerances,
     ValidationError,
     binary_entropy,
@@ -16,7 +18,9 @@ from roofentropy import (
     convex_sum,
     qubit_R,
     qubit_R_series,
+    solve_R,
 )
+from roofentropy.sampling import ginibre_density
 from roofentropy.states import DEFAULT_TOL
 
 LN2 = 0.6931471805599453
@@ -239,3 +243,41 @@ class TestBlockExampleDecomposition:
         )
         with pytest.raises(ValidationError, match="exceeds 1/2"):
             block_example_decomposition(data, DensityOperator(np.eye(3) / 3))
+
+
+# The partial trace over the second qubit of C^2 (x) C^2: one 2-dim block fed
+# by two Kraus terms, so the solver takes its closed-form pair path.  Its roof
+# is the entanglement of formation (Bennett, DiVincenzo, Smolin & Wootters,
+# PRA 54, 3824 (1996)), which Wootters' concurrence gives in closed form
+# (PRL 80, 2245 (1998)): with lambda_1 >= ... >= lambda_4 the square roots of
+# the eigenvalues of sqrt(rho) rho~ sqrt(rho), where rho~ = (Y (x) Y) rho* (Y (x) Y),
+# C = max(0, lambda_1 - lambda_2 - lambda_3 - lambda_4) and
+# E_F = s(q) + s(1 - q) with q = (1 + sqrt(1 - C^2)) / 2.
+TRACE_B = ReductionChannel(
+    4, (2,), ((0, np.kron(np.eye(2), [[1.0, 0.0]])), (0, np.kron(np.eye(2), [[0.0, 1.0]])))
+)
+YY = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]])
+BELL = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2)
+
+
+def wootters_eof(rho: np.ndarray) -> float:
+    """Entanglement of formation of a two-qubit state, in nats."""
+    w, v = np.linalg.eigh(rho)
+    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    flipped = YY @ rho.conj() @ YY
+    lam = np.sqrt(np.clip(np.linalg.eigvalsh(root @ flipped @ root), 0.0, None))[::-1]
+    c = max(0.0, lam[0] - lam[1] - lam[2] - lam[3])
+    return binary_entropy(0.5 + 0.5 * math.sqrt(1.0 - c * c))
+
+
+class TestTwoQubitPartialTrace:
+    def test_bell_state_carries_one_ebit(self):
+        assert wootters_eof(np.outer(BELL, BELL)) == pytest.approx(LN2, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_solver_matches_entanglement_of_formation(self, seed):
+        ginibre = ginibre_density(4, np.random.default_rng([seed, 4])).matrix
+        rho = 0.6 * np.outer(BELL, BELL) + 0.4 * ginibre
+        eof = wootters_eof(rho)
+        result = solve_R(DensityOperator(rho), TRACE_B, SolverConfig(restarts=8, max_iters=400))
+        assert eof - 1e-9 <= result.value_R <= eof + 1e-7

@@ -131,6 +131,12 @@ class TestDecompositionFromIsometry:
         with pytest.raises(ValidationError):
             decomposition_from_isometry(rho, np.eye(3))
 
+    def test_rejects_non_finite_entries(self):
+        # A NaN entry makes the orthonormality defect NaN, which no bound rejects.
+        rho = DensityOperator(np.diag([0.7, 0.3]))
+        with pytest.raises(ValidationError, match="non-finite"):
+            decomposition_from_isometry(rho, np.vstack([np.eye(2), [[np.nan, 0.0]]]))
+
 
 class TestVectorizedObjective:
     def test_matches_slow_path(self, rng):
