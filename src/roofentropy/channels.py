@@ -272,16 +272,24 @@ def block_compression(psi: PureState) -> ReductionChannel:
     (dimension ``n`` for input dimension ``n + 1``), block 1 is the scalar
     overlap with ``psi``.  The complement basis follows the deterministic
     eigenbasis convention of :func:`roofentropy.states.canonical_eigh`.
+    A ``psi`` whose norm misses 1 by more than ``COMPLETENESS_TOL / 4`` is
+    normalized first, so that the channel passes its completeness check;
+    block 1's Kraus row is the conjugate of the vector the channel is built
+    from.
     """
     psi = _coerce(psi, PureState, DEFAULT_TOL)
     n1 = psi.dim
     if n1 < 2:
         raise ValidationError("block compression needs input dimension >= 2")
-    q = np.eye(n1) - psi.projector()
+    vec = psi.vector
+    norm = float(np.linalg.norm(vec))
+    if abs(norm - 1.0) > COMPLETENESS_TOL / 4:
+        vec = vec / norm
+    q = np.eye(n1) - np.outer(vec, vec.conj())
     w = _range_basis(q)
     if w.shape[0] != n1 - 1:
         raise ValidationError(f"complement rank {w.shape[0]}, expected {n1 - 1}")
-    terms = ((0, w), (1, psi.vector.conj()[None, :]))
+    terms = ((0, w), (1, vec.conj()[None, :]))
     return ReductionChannel(n1, (n1 - 1, 1), terms)
 
 

@@ -127,7 +127,7 @@ def _cmd_entropy(ns: argparse.Namespace) -> dict:
 def _cmd_reduce(ns: argparse.Namespace) -> dict:
     tol = _tolerances(ns.tol)
     rho = density_from_json(_load_json(_require_input(ns, "state"), "--state"), tol)
-    channel = channel_from_json(_load_json(_require_input(ns, "channel"), "--channel"))
+    channel = channel_from_json(_load_json(_require_input(ns, "channel"), "--channel"), tol)
     bd = reduce_state(channel, rho, tol)
     report = block_density_to_json(bd)
     report["command"] = "reduce"
@@ -139,7 +139,7 @@ def _cmd_reduce(ns: argparse.Namespace) -> dict:
 def _cmd_mutual(ns: argparse.Namespace) -> dict:
     tol = _tolerances(ns.tol)
     ensemble = ensemble_from_json(_load_json(_require_input(ns, "ensemble"), "--ensemble"), tol)
-    channel = channel_from_json(_load_json(_require_input(ns, "channel"), "--channel"))
+    channel = channel_from_json(_load_json(_require_input(ns, "channel"), "--channel"), tol)
     holevo = mutual_entropy(ensemble, channel, "holevo")
     relative = mutual_entropy(ensemble, channel, "relative")
     return {
@@ -154,7 +154,7 @@ def _cmd_mutual(ns: argparse.Namespace) -> dict:
 def _cmd_roof(ns: argparse.Namespace) -> dict:
     tol = _tolerances(ns.tol)
     rho = density_from_json(_load_json(_require_input(ns, "state"), "--state"), tol)
-    channel = channel_from_json(_load_json(_require_input(ns, "channel"), "--channel"))
+    channel = channel_from_json(_load_json(_require_input(ns, "channel"), "--channel"), tol)
     cfg = _solver_config(ns)
     trace = contextlib.nullcontext()
     if ns.trace is not None:
@@ -213,8 +213,8 @@ def _cmd_block_oracle(ns: argparse.Namespace) -> dict:
         "coupling": data.z,
         "eigenvalues": [float(x) for x in data.eigvals],
         "overlaps": [float(x) for x in data.overlaps],
-        "mu_plus": None if math.isnan(data.mu_plus) else data.mu_plus,
-        "mu_minus": None if math.isnan(data.mu_minus) else data.mu_minus,
+        "mu_plus": data.mu_plus,
+        "mu_minus": data.mu_minus,
     }
     report = {"command": "block-oracle", "analysis": analysis}
     decomposition = block_example_decomposition(data, rho, tol)

@@ -130,12 +130,13 @@ def channel_to_json(c: ReductionChannel) -> dict:
     }
 
 
-def channel_from_json(data) -> ReductionChannel:
+def channel_from_json(data, tol: Tolerances = DEFAULT_TOL) -> ReductionChannel:
     """Decode a channel, accepting the explicit Kraus form or a shorthand.
 
     Shorthands: ``{"type": "diagonal", "dim": n}``,
     ``{"type": "block_compression", "psi": vector}``, and
-    ``{"type": "commutative", "projections": [matrix, ...]}``.
+    ``{"type": "commutative", "projections": [matrix, ...]}``.  The
+    shorthand's ``psi`` is checked under ``tol``.
     """
     if isinstance(data, dict) and "type" in data:
         kind = data["type"]
@@ -144,7 +145,7 @@ def channel_from_json(data) -> ReductionChannel:
             return diagonal_pinching(data["dim"])
         if kind == "block_compression":
             _require_keys(data, ("type", "psi"), what="block compression channel")
-            return block_compression(PureState(decode_vector(data["psi"], "psi")))
+            return block_compression(PureState(decode_vector(data["psi"], "psi"), tol))
         if kind == "commutative":
             _require_keys(data, ("type", "projections"), what="commutative channel")
             return commutative_channel(_decode_projections(data["projections"]))

@@ -119,13 +119,17 @@ def block_example_analyze(
     eigendirection and the defining identities of ``mu_plus``/``mu_minus``
     when they exist.  The complement of ``psi`` is spanned by block 0 of
     ``block_compression(psi)``, the channel this is the oracle for, so
-    ``psi`` must pass that channel's checks.
+    ``psi`` must pass that channel's checks; every result, ``psi`` in the
+    returned data included, uses the vector that channel was built from.
     """
     rho = _coerce(rho, DensityOperator, tol)
     psi = _coerce(psi, PureState, tol)
     if rho.dim != psi.dim:
         raise ValidationError(f"dimension mismatch: state {rho.dim} vs vector {psi.dim}")
-    w = block_compression(psi).by_block[0][0]  # (n, n + 1) rows span the complement of psi
+    channel = block_compression(psi)
+    w = channel.by_block[0][0]  # (n, n + 1) rows span the complement of psi
+    # The vector the channel was built from: psi itself, or psi / |psi|.
+    psi = PureState(channel.by_block[1][0][0].conj(), tol)
     compressed = w @ rho.matrix @ w.conj().T
     eigvals, u = canonical_eigh(compressed, tol)
     eigvals = np.where(eigvals < 0.0, 0.0, eigvals)

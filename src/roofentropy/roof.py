@@ -16,11 +16,13 @@ state, and each state's restarts follow the path they follow when that
 state is solved alone.
 
 The line search tries the two longest steps of its halving ladder first and
-the shorter ones only for restarts those did not improve.  Objective calls
-take at most ``OBJECTIVE_ROWS`` isometry rows each.  Inside a call, sums
-over short trailing axes run as whole-stack adds in the order numpy's own
-reduction uses, so every value is bit for bit what ``np.sum`` and
-``np.add.reduceat`` give.
+the shorter ones only for restarts those did not improve.  The objective
+takes a stack of any length and runs it in blocks of whole isometries whose
+products stay within ``GEMM_WORK`` multiply-adds; ``OBJECTIVE_ROWS`` bounds
+only what the descent holds at once (a chunk of finite-difference copies, a
+lockstep stack).  Inside a block, sums over short trailing axes run as
+whole-block adds in the order numpy's own reduction uses, so every value is
+bit for bit what ``np.sum`` and ``np.add.reduceat`` give.
 """
 
 from __future__ import annotations
@@ -67,15 +69,18 @@ LADDER = 8              # step-halving candidates per line search
 # is accepted in most steps, so rungs 2 onward are evaluated only for the
 # restarts that neither improves.
 FIRST_RUNGS = 2
-# Most isometry rows (isometries x m) stacked into one objective_many call.
+# Most isometry rows (isometries x m) the descent holds at once: one chunk of
+# finite-difference copies, or the restarts of one lockstep stack.
 OBJECTIVE_ROWS = 8192
 # numpy sums a trailing axis of fewer floats strictly in order (a complex
 # entry is two floats); from this length on it sums pairwise, and such axes
 # keep numpy's own reduction.
 SHORT_AXIS = 8
-# Most multiply-adds in one GEMM of objective_many.  OpenBLAS hands larger
-# products to its thread pool, and with default threads that hand-off
-# stalled these thin products by milliseconds; qubit stacks stay one GEMM.
+# Most multiply-adds in one GEMM of objective_many, which runs its stack in
+# blocks of whole isometries within this bound, so its work arrays hold one
+# block.  OpenBLAS hands larger products to its thread pool, and with default
+# threads that hand-off stalled these thin products by milliseconds; qubit
+# stacks stay one block.
 GEMM_WORK = 65536
 STEP_CAP = 1.0
 # A restart stops when its step falls below STEP_TOL, or when two accepted
@@ -297,75 +302,71 @@ class _Evaluator:
         return flat[:size].reshape(shape)
 
     def objective_many(self, isometries: np.ndarray, owners: np.ndarray) -> np.ndarray:
-        """Objective for a stack of isometries, shape (batch, m, r) -> (batch,).
+        """Objective for a stack of isometries of any length, shape (batch, m, r) -> (batch,).
 
         ``owners[i]`` is the index of the state that isometry ``i`` mixes;
-        it never decreases along the stack.  Both products run as GEMMs over
-        the flattened (batch * m) rows, in row blocks of at most
-        ``GEMM_WORK`` multiply-adds; ``phi = rows @ root`` runs once per
-        contiguous run of one state within a block, and everything after it
-        over the whole stack, since the channel is shared.  Rows do not
-        mix, so every slice gets the same arithmetic whatever the batch and
-        its neighbours.  Sums over a short trailing axis (a norm block's
-        columns, a pair block's entries, a member's weight) run as one add
-        per entry over the whole stack, in the order numpy's reduction
-        takes, so they are bit for bit ``np.add.reduceat`` and ``np.sum``;
-        longer axes keep numpy's pairwise reduction.  The returned array is
-        new; only the intermediates live in the work arrays.
+        it never decreases along the stack.  The stack runs in blocks of
+        whole isometries whose products stay within ``GEMM_WORK``
+        multiply-adds, each block from its GEMMs to its sums, so the work
+        arrays hold one block.  In a block, ``phi = rows @ root`` is one
+        GEMM per run of one state's isometries, and ``a = phi @ kraus_t``
+        one GEMM over all its rows, since the channel is shared.  Rows do
+        not mix, so every isometry gets the same arithmetic whatever its
+        block and its neighbours.  Sums over a short trailing axis (a norm
+        block's columns, a pair block's entries, a member's weight) run as
+        one add per entry over the whole block, in the order numpy's
+        reduction takes, so they are bit for bit ``np.add.reduceat`` and
+        ``np.sum``; longer axes keep numpy's pairwise reduction.  The
+        returned array is new; only the intermediates live in the work
+        arrays.
         """
         batch, m, r = isometries.shape
-        rows = isometries.reshape(batch * m, r)
         n, width = self.roots[0].shape[1], self.kraus_t.shape[1]
-        phi = self.work("phi", (batch * m, n), complex)
-        a = self.work("a", (batch * m, width), complex)
-        # The isometry at which each run of one state ends.  A stack of one
-        # state, the common case, skips the scan.
-        cuts = [batch]
-        if owners[0] != owners[-1]:
-            cuts = (np.flatnonzero(owners[1:] != owners[:-1]) + 1).tolist() + cuts
-        ends = [c * m for c in cuts]
-        roots = [self.roots[owners[c - 1]] for c in cuts]
-        step = max(1, GEMM_WORK // (n * max(r, width)))
-        run = 0
-        for at in range(0, batch * m, step):
-            stop = min(at + step, batch * m)
-            lo = at
-            while lo < stop:
-                hi = min(ends[run], stop)
-                np.matmul(rows[lo:hi], roots[run], out=phi[lo:hi])
-                if hi == ends[run]:
-                    run += 1
-                lo = hi
-            np.matmul(phi[at:stop], self.kraus_t, out=a[at:stop])
-        phi, a = phi.reshape(batch, m, n), a.reshape(batch, m, width)
-        nu = self._abs2("nu", a)
-        norm_part = self.work("norm", (batch, m, len(self.norm_segments)))
-        for i, (s, w) in enumerate(self.norm_segments):
-            _segment_sum(nu[..., s : s + w], out=norm_part[..., i])
-        total = _xlnx(norm_part, out=norm_part, scratch=self.work("ln", norm_part.shape)).sum(
-            axis=(-1, -2)
-        )
-        for at, _, d in self.pair_specs:
-            g00 = _row_sum(nu[..., at : at + d], out=self.work("g00", (batch, m)))
-            g11 = _row_sum(nu[..., at + d : at + 2 * d], out=self.work("g11", (batch, m)))
-            prod = np.conjugate(a[..., at : at + d], out=self.work("prod", (batch, m, d), complex))
-            np.multiply(prod, a[..., at + d : at + 2 * d], out=prod)
-            g01 = _row_sum(prod, out=self.work("g01", (batch, m), complex))
-            pair = _pair_entropy(g00, g11, g01, out=self.work("pair", (3, batch, m)))
-            total += _row_sum(pair, out=self.work("pair_sum", (batch,)))
-        for at, t, d in self.gram_specs:
-            shape = (batch, m, t, d)
-            stackv = self.work("stack", shape, complex)
-            stackv[...] = a[..., at : at + t * d].reshape(shape)
-            conj = np.conjugate(stackv, out=self.work("conj", shape, complex))
-            gram = np.einsum(
-                "...ip,...tp->...it", conj, stackv, out=self.work("gram", (batch, m, t, t), complex)
+        per_block = max(1, GEMM_WORK // (n * max(r, width) * m))
+        values = np.empty(batch)
+        for at in range(0, batch, per_block):
+            own = owners[at : at + per_block]
+            size = len(own)
+            rows = isometries[at : at + size].reshape(size * m, r)
+            phi = self.work("phi", (size * m, n), complex)
+            # Runs of one state end where the owner changes; a block of one
+            # state, the common case, skips the scan.
+            cuts = [0, size]
+            if own[0] != own[-1]:
+                cuts[1:1] = (np.flatnonzero(own[1:] != own[:-1]) + 1).tolist()
+            for lo, hi in zip(cuts, cuts[1:]):
+                np.matmul(rows[lo * m : hi * m], self.roots[own[lo]], out=phi[lo * m : hi * m])
+            a = np.matmul(phi, self.kraus_t, out=self.work("a", (size * m, width), complex))
+            phi, a = phi.reshape(size, m, n), a.reshape(size, m, width)
+            nu = self._abs2("nu", a)
+            norm_part = self.work("norm", (size, m, len(self.norm_segments)))
+            for i, (s, w) in enumerate(self.norm_segments):
+                _segment_sum(nu[..., s : s + w], out=norm_part[..., i])
+            total = _xlnx(norm_part, out=norm_part, scratch=self.work("ln", norm_part.shape)).sum(
+                axis=(-1, -2)
             )
-            eigs = np.linalg.eigvalsh(gram)
-            total += _xlnx(eigs, out=eigs).sum(axis=(-1, -2))
-        p = _row_sum(self._abs2("phi2", phi), out=self.work("p", (batch, m)))
-        ent = _xlnx(p, out=p, scratch=self.work("ln", p.shape))
-        return total - _row_sum(ent, out=np.empty(batch))
+            for s, _, d in self.pair_specs:
+                g00 = _row_sum(nu[..., s : s + d], out=self.work("g00", (size, m)))
+                g11 = _row_sum(nu[..., s + d : s + 2 * d], out=self.work("g11", (size, m)))
+                prod = np.conjugate(a[..., s : s + d], out=self.work("prod", (size, m, d), complex))
+                np.multiply(prod, a[..., s + d : s + 2 * d], out=prod)
+                g01 = _row_sum(prod, out=self.work("g01", (size, m), complex))
+                pair = _pair_entropy(g00, g11, g01, out=self.work("pair", (3, size, m)))
+                total += _row_sum(pair, out=self.work("pair_sum", (size,)))
+            for s, t, d in self.gram_specs:
+                shape = (size, m, t, d)
+                stackv = self.work("stack", shape, complex)
+                stackv[...] = a[..., s : s + t * d].reshape(shape)
+                conj = np.conjugate(stackv, out=self.work("conj", shape, complex))
+                gram = np.einsum("...ip,...tp->...it", conj, stackv,
+                                 out=self.work("gram", (size, m, t, t), complex))
+                eigs = np.linalg.eigvalsh(gram)
+                total += _xlnx(eigs, out=eigs).sum(axis=(-1, -2))
+            p = _row_sum(self._abs2("phi2", phi), out=self.work("p", (size, m)))
+            ent = _xlnx(p, out=p, scratch=self.work("ln", p.shape))
+            np.subtract(total, _row_sum(ent, out=self.work("ent", (size,))),
+                        out=values[at : at + size])
+        return values
 
     def _abs2(self, name: str, z: np.ndarray) -> np.ndarray:
         """``z.real**2 + z.imag**2`` in work array ``name``.
@@ -415,21 +416,19 @@ def _fd_gradient(
     ``v`` is a stack of isometries, shape (k, m, r), ``owners`` the index of
     each one's state (never decreasing) and ``f0`` their objective values.
     The 2·m·r perturbed copies of each are built and evaluated in chunks of
-    whole restarts, at most ``OBJECTIVE_ROWS`` rows (copies x m) each; only
-    a restart with more copies than that is split.  Each copy keeps its
-    restart's owner.  Each chunk's copies are gathered into one of the
-    evaluator's work arrays, and only the bumped entry of each copy is then
-    added to: a broadcast add would turn its -0.0 entries into +0.0, which
-    flips the sign QR gives a reflector.  The retraction then consumes the
-    work array in place.
+    at most ``OBJECTIVE_ROWS`` rows (copies x m), cut wherever that count
+    falls; each copy keeps its restart's owner.  Each chunk's copies are
+    gathered into one of the evaluator's work arrays, and only the bumped
+    entry of each copy is then added to: a broadcast add would turn its
+    -0.0 entries into +0.0, which flips the sign QR gives a reflector.  The
+    retraction then consumes the work array in place.
     """
     k, m, r = v.shape
     count = m * r
     flat = v.reshape(k, count)
     span = 2 * count
     total = span * k
-    per_call = max(1, OBJECTIVE_ROWS // m)
-    chunk = per_call // span * span or per_call
+    chunk = max(1, OBJECTIVE_ROWS // m)
     values = np.empty(total)
     for at in range(0, total, chunk):
         own, col = np.divmod(np.arange(at, min(at + chunk, total)), span)
@@ -441,17 +440,6 @@ def _fd_gradient(
         )
     g = (values.reshape(k, span) - f0[:, None]) / FD_STEP
     return (g[:, :count] + 1j * g[:, count:]).reshape(k, m, r)
-
-
-def _objective_stack(ev: _Evaluator, v: np.ndarray, owners: np.ndarray) -> np.ndarray:
-    """Objective of a stack of isometries, at most ``OBJECTIVE_ROWS`` rows per call."""
-    per_call = max(1, OBJECTIVE_ROWS // v.shape[1])
-    values = np.empty(len(v))
-    for at in range(0, len(v), per_call):
-        values[at : at + per_call] = ev.objective_many(
-            v[at : at + per_call], owners[at : at + per_call]
-        )
-    return values
 
 
 def _descend(ev: _Evaluator, starts: np.ndarray, owners: np.ndarray, cfg: SolverConfig):
@@ -472,7 +460,7 @@ def _descend(ev: _Evaluator, starts: np.ndarray, owners: np.ndarray, cfg: Solver
     isometries, converged flags and iteration counts.
     """
     v = _retract(starts)
-    f = _objective_stack(ev, v, owners)
+    f = ev.objective_many(v, owners)
     k, m, r = v.shape
     step = np.full(k, INITIAL_STEP)
     stalls = np.zeros(k, dtype=np.intp)
@@ -498,8 +486,8 @@ def _descend(ev: _Evaluator, starts: np.ndarray, owners: np.ndarray, cfg: Solver
             tried = _retract(candidates.reshape(-1, m, r)).reshape(candidates.shape)
             trial[pending, rungs] = tried
             tried_owners = np.repeat(owners[idx[pending]], candidates.shape[1])
-            values[pending, rungs] = _objective_stack(
-                ev, tried.reshape(-1, m, r), tried_owners
+            values[pending, rungs] = ev.objective_many(
+                tried.reshape(-1, m, r), tried_owners
             ).reshape(candidates.shape[:2])
             pending = pending[~(values[pending] < f[idx[pending], None]).any(axis=1)]
         better = values < f[idx, None]

@@ -253,9 +253,7 @@ def _check_concavity(rng, n, cfg):
 
 
 def _coarsen(projections, rng):
-    if len(projections) < 3:
-        merged = [projections[0] + projections[1]]
-        return merged if len(projections) == 2 else projections
+    """Merge the first projection with a random other one."""
     k = int(rng.integers(1, len(projections)))
     out = [p for i, p in enumerate(projections) if i not in (0, k)]
     out.append(projections[0] + projections[k])
@@ -266,10 +264,8 @@ def _check_monotonicity(rng, n, cfg):
     worst = math.inf
     for _ in range(2 * n):
         dim = int(rng.integers(3, 5))
-        fine = random_projections(dim, rng, parts=min(dim, 3))
+        fine = random_projections(dim, rng, parts=3)
         coarse = _coarsen(fine, rng)
-        if len(coarse) < 2:
-            continue
         rho = ginibre_density(dim, rng)
         h_fine = solve_R(rho, commutative_channel(fine), cfg).value_H
         h_coarse = solve_R(rho, commutative_channel(coarse), cfg).value_H

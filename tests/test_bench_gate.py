@@ -4,9 +4,8 @@
 value stored for that op and seed in ``perfbench/baseline.json`` by more than
 1e-9.  The stored values are where an unconverged descent stopped, so a
 kernel change that moves the objective's last bit can trip that gate.  These
-tests run the seed-0 ops of the two fast workloads, and the two ``highdim``
-ops on explicit Kraus channels, through the same entry points as the
-benchmark, so such a change fails here first.  They also check
+tests run the seed-0 ops of all three workloads through the same entry
+points as the benchmark, so such a change fails here first.  They also check
 that the CLI reports do not change when same-channel solves share one
 lockstep stack.  The benchmark's files are only read.
 """
@@ -40,13 +39,11 @@ def _workloads():
 
 
 STORED = json.loads((BENCH / "baseline.json").read_text())
-# highdim's block-compression solve is left out: _value_R builds a solve's
-# channel from its Kraus terms, and that op's channel comes from a vector.
 GATED = [
     (name, op)
     for name in ("qubit-sweep", "highdim", "cli-commands")
     for op in _workloads()[name].build(SEED, False)
-    if op.name in STORED[name][str(SEED)] and (op.kind == "cli" or op.psi is None)
+    if op.name in STORED[name][str(SEED)]
 ]
 
 
@@ -54,7 +51,10 @@ def _value_R(op, capsys) -> float:
     """The op's reported ``value_R``, read from its report as the benchmark reads it."""
     if op.kind == "solve":
         rho = rf.DensityOperator(op.state)
-        channel = rf.ReductionChannel(op.state.shape[0], op.block_dims, op.kraus)
+        if op.psi is not None:
+            channel = rf.block_compression(rf.PureState(op.psi))
+        else:
+            channel = rf.ReductionChannel(op.state.shape[0], op.block_dims, op.kraus)
         result = rf.solve_R(rho, channel, rf.SolverConfig(**dict(op.solver)))
         return rf.round_floats(rf.roof_result_to_json(result))["value_R"]
     assert cli.main(list(op.argv)) == 0

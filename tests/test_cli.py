@@ -15,6 +15,7 @@ LN2 = 0.6931471805599453
 MIXED = '[[0.5,0],[0,0.5]]'
 RHO = '[[0.6,0.2],[0.2,0.4]]'
 DIAG2 = '{"type":"diagonal","dim":2}'
+DIAG3 = '[[0.5,0,0],[0,0.3,0],[0,0,0.2]]'
 FAST_FLAGS = ["--restarts", "3", "--max-iters", "150"]
 
 SOLVER_FLAGS = ("--seed", "--restarts", "--max-iters", "--max-length")
@@ -175,6 +176,16 @@ class TestReduceCommand:
         assert report["probabilities"] == pytest.approx([0.6, 0.4], abs=1e-11)
         assert report["entropy"] == pytest.approx(0.6730116670092565, abs=1e-11)
 
+    def test_tol_reaches_block_compression_psi(self, capsys):
+        # |psi| - 1 = 1e-7: outside the default 1e-9, inside --tol 1e-5.
+        channel = '{"type":"block_compression","psi":[1.0000001,0,0]}'
+        argv = ["reduce", "--state", DIAG3, "--channel", channel]
+        status, out, err = run_main(capsys, *argv)
+        assert status == 1 and out == "" and "state vector norm" in err
+        report = run_json(capsys, *argv, "--tol", "1e-5")
+        assert report["block_dims"] == [2, 1]
+        assert report["probabilities"] == pytest.approx([0.5, 0.5], abs=1e-12)
+
 
 class TestMutualCommand:
     def test_orthogonal_bits(self, capsys):
@@ -288,6 +299,21 @@ class TestBlockOracleCommand:
         assert dec["candidate"] == pytest.approx(0.24577536666847116, abs=1e-11)
         assert dec["degenerate"] is False
         assert dec["length"] == 4
+
+    def test_psi_off_unit_norm_within_tol(self, capsys):
+        # |psi| - 1 = 2e-10 passes --psi's check; a channel built from psi
+        # itself missed Kraus completeness by 4e-10.
+        report = run_json(capsys, "block-oracle", "--state", DIAG3, "--psi", "[1.0000000002,0,0]")
+        assert report["analysis"]["distinguished_weight"] == 0.5
+        assert report["analysis"]["coupling"] == 0.0
+        assert report["decomposition"]["ensemble"]["weights"] == [0.2, 0.3, 0.5]
+
+    def test_construction_failure_exits_one(self, capsys):
+        # z = 0.25 is inside 1/2, but direction 1's weights leave the simplex.
+        state = '[[0.5,0.05,0.2],[0.05,0.4,0],[0.2,0,0.1]]'
+        status, out, err = run_main(capsys, "block-oracle", "--state", state, "--psi", "[1,0,0]")
+        assert status == 1 and out == ""
+        assert err.startswith("error: construction failure")
 
     def test_solve_flag_reports_gap(self, capsys):
         report = run_json(
@@ -499,6 +525,18 @@ class TestRendering:
         assert out.strip() == json.dumps(
             report, sort_keys=True, indent=2
         )
+
+    def test_table_renders_long_lists_nulls_and_booleans(self, capsys):
+        status, out, _ = run_main(
+            capsys, "roof", "--state", RHO, "--channel", DIAG2, "--restarts", "13",
+            "--max-iters", "5", "--samples", "2", "--format", "table",
+        )
+        assert status == 0
+        rows = dict(line.split(None, 1) for line in out.splitlines())
+        assert rows["result.restart_values"] == "[13 items]"
+        assert rows["zero_entropy"] == "null"
+        assert rows["affinity.passed"] == "true"
+        assert rows["result.converged"] == "false"
 
     def test_table_flattens_nested_keys(self, capsys):
         _, out, _ = run_main(

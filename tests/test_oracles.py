@@ -13,6 +13,7 @@ from roofentropy import (
     Tolerances,
     ValidationError,
     binary_entropy,
+    block_compression,
     block_example_analyze,
     block_example_decomposition,
     convex_sum,
@@ -158,6 +159,24 @@ class TestBlockExampleAnalyze:
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
             block_example_analyze(DensityOperator(np.eye(2) / 2), E3)
+
+    def test_off_unit_psi_uses_the_channel_vector(self, rng):
+        # |psi| = 1 + 2e-10 passes PureState's 1e-9 check, but a channel
+        # built from psi itself misses Kraus completeness by 4e-10.
+        rho = ginibre_density(3, rng)
+        v = rng.normal(size=3) + 1j * rng.normal(size=3)
+        unit = v / np.linalg.norm(v)
+        psi = PureState(unit * (1 + 2e-10))
+        row = block_compression(psi).by_block[1][0][0].conj()
+        assert np.max(np.abs(row - unit)) <= 1e-15
+        data = block_example_analyze(rho, psi)
+        want = block_example_analyze(rho, PureState(row))
+        assert np.array_equal(data.psi.vector, row)
+        for field in ("eigvecs", "eigvals", "overlaps", "lam", "z", "mu_plus"):
+            assert np.array_equal(getattr(data, field), getattr(want, field)), field
+        # Within COMPLETENESS_TOL / 4 of unit norm, psi keeps its bits.
+        near = PureState(unit * (1 + 1e-11))
+        assert np.array_equal(block_compression(near).by_block[1][0][0], near.vector.conj())
 
 
 class TestBlockExampleDecomposition:

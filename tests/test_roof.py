@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -29,6 +30,7 @@ from roofentropy import roof
 from roofentropy.jsonio import roof_result_to_json, round_floats
 from roofentropy.roof import (
     FD_STEP,
+    GEMM_WORK,
     INITIAL_STEP,
     LADDER,
     OBJECTIVE_ROWS,
@@ -207,8 +209,7 @@ class TestGramBlocks:
     def test_stack_equals_single_slices(self, rng):
         # Lockstep restarts are bit-identical to one-at-a-time solves only if
         # a slice's value does not depend on the rest of the stack.  For both
-        # Gram channels, 150 isometries span two GEMM row blocks, cut inside
-        # an isometry.
+        # Gram channels, 150 isometries span two of objective_many's blocks.
         pair, mixed = gram_channels(rng)
         for channel in (pair, mixed, diagonal_pinching(2)):
             n = channel.input_dim
@@ -340,7 +341,7 @@ class TestLockstepRestarts:
     @pytest.mark.parametrize("length", [25, 60])
     def test_stacked_gradient_matches_single(self, rng, length):
         # 60 rows give 2 * 60 * 5 = 600 copies per restart, more than one
-        # objective call takes, so each restart's copies are split as well.
+        # chunk of copies holds, so each restart's copies are split as well.
         g = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
         h = g @ g.conj().T
         rho = DensityOperator(h / np.trace(h).real)
@@ -462,7 +463,11 @@ def _retract_reference(a):
 
 
 def _fd_gradient_reference(ev, v, owners, f0):
-    """Gather-and-bump forward differences, building fresh copies per chunk."""
+    """Gather-and-bump forward differences, building fresh copies per chunk.
+
+    Its chunks hold whole restarts where they fit, unlike ``_fd_gradient``'s,
+    so a match also shows that where a chunk is cut does not matter.
+    """
     k, m, r = v.shape
     count = m * r
     flat = v.reshape(k, count)
@@ -506,6 +511,35 @@ class TestWorkBuffers:
             for v, got in zip(stacks, results):
                 fresh = _Evaluator([rho], channel, DEFAULT_TOL).objective_many(v, alone(len(v)))
                 assert np.array_equal(got, fresh)
+
+    def test_work_arrays_hold_one_block(self, rng):
+        # 500 isometries of a d = 5 pinching run in blocks of 104, so phi
+        # holds 2,600 of the stack's 12,500 rows.
+        n, m = 5, 25
+        ev = _Evaluator([ginibre_density(n, rng)], diagonal_pinching(n), DEFAULT_TOL)
+        shape = (500, m, n)
+        v = _retract(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        got = ev.objective_many(v, alone(len(v)))
+        per_block = GEMM_WORK // (n * n * m)
+        assert per_block == 104
+        assert ev._buffers["phi"].size <= per_block * m * n
+        single = np.array([ev.objective_many(v[i : i + 1], alone(1))[0] for i in range(len(v))])
+        assert np.array_equal(got, single)
+
+    def test_owner_runs_across_blocks_match_one_state_stacks(self, rng):
+        # Three states' runs of 70, 100 and 80 isometries against blocks of
+        # 104: block and run boundaries fall inside each other.
+        channel = pinching([np.diag([1.0, 1, 0, 0, 0]), np.diag([0.0, 0, 1, 1, 0]),
+                            np.diag([0.0, 0, 0, 0, 1])])
+        states = [ginibre_density(5, rng) for _ in range(3)]
+        ev = _Evaluator(states, channel, DEFAULT_TOL)
+        sizes = (70, 100, 80)
+        v = _retract(rng.normal(size=(250, 25, 5)) + 1j * rng.normal(size=(250, 25, 5)))
+        got = ev.objective_many(v, np.repeat(np.arange(3), sizes))
+        edges = np.cumsum((0,) + sizes)
+        for rho, lo, hi in zip(states, edges, edges[1:]):
+            alone_ev = _Evaluator([rho], channel, DEFAULT_TOL)
+            assert np.array_equal(got[lo:hi], alone_ev.objective_many(v[lo:hi], alone(hi - lo)))
 
     def test_xlnx_bit_exact(self, rng):
         tiny = np.finfo(float).tiny
@@ -632,7 +666,7 @@ class TestShortReductions:
 def _descend_reference(ev, starts, owners, cfg):
     """The full-ladder descent: every rung of every live restart is evaluated."""
     v = _retract_reference(starts)
-    f = roof._objective_stack(ev, v, owners)
+    f = ev.objective_many(v, owners)
     k, m, r = v.shape
     step = np.full(k, INITIAL_STEP)
     stalls = np.zeros(k, dtype=np.intp)
@@ -649,8 +683,8 @@ def _descend_reference(ev, starts, owners, cfg):
         scales = step[idx, None] * ladder
         candidates = v[idx, None] - scales[..., None, None] * grad[~zero, None]
         trial = _retract_reference(candidates.reshape(-1, m, r)).reshape(candidates.shape)
-        values = roof._objective_stack(
-            ev, trial.reshape(-1, m, r), np.repeat(owners[idx], LADDER)
+        values = ev.objective_many(
+            trial.reshape(-1, m, r), np.repeat(owners[idx], LADDER)
         ).reshape(scales.shape)
         better = values < f[idx, None]
         moved = better.any(axis=1)
@@ -686,9 +720,15 @@ class TestTwoStageLineSearch:
         ev = _Evaluator([rho], channel, DEFAULT_TOL)
         starts = np.stack(_start_isometries(n * n, ev.ranks[0], cfg))
         calls = []
-        stack = roof._objective_stack
-        monkeypatch.setattr(roof, "_objective_stack",
-                            lambda e, v, o: calls.append(1) or stack(e, v, o))
+        objective = ev.objective_many
+
+        def spy(v, owners):
+            # Count only the calls made outside the gradient.
+            if sys._getframe(1).f_code is not _fd_gradient.__code__:
+                calls.append(1)
+            return objective(v, owners)
+
+        monkeypatch.setattr(ev, "objective_many", spy)
         got = roof._descend(ev, starts.copy(), alone(cfg.restarts), cfg)
         monkeypatch.undo()
         want = _descend_reference(_Evaluator([rho], channel, DEFAULT_TOL), starts.copy(),
