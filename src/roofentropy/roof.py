@@ -18,11 +18,13 @@ state is solved alone.
 The line search tries the two longest steps of its halving ladder first and
 the shorter ones only for restarts those did not improve.  The objective
 takes a stack of any length and runs it in blocks of whole isometries whose
-products stay within ``GEMM_WORK`` multiply-adds; ``OBJECTIVE_ROWS`` bounds
-only what the descent holds at once (a chunk of finite-difference copies, a
-lockstep stack).  Inside a block, sums over short trailing axes run as
-whole-block adds in the order numpy's own reduction uses, so every value is
-bit for bit what ``np.sum`` and ``np.add.reduceat`` give.
+products stay within ``GEMM_WORK`` multiply-adds.  The gradient cuts its
+finite-difference copies at that same block size, so each block of copies
+is gathered, bumped, retracted and evaluated in one go, in work arrays of
+one block; ``OBJECTIVE_ROWS`` bounds only the lockstep stacks.  Inside a
+block, sums over short trailing axes run as whole-block adds in the order
+numpy's own reduction uses, so every value is bit for bit what ``np.sum``
+and ``np.add.reduceat`` give.
 """
 
 from __future__ import annotations
@@ -69,18 +71,18 @@ LADDER = 8              # step-halving candidates per line search
 # is accepted in most steps, so rungs 2 onward are evaluated only for the
 # restarts that neither improves.
 FIRST_RUNGS = 2
-# Most isometry rows (isometries x m) the descent holds at once: one chunk of
-# finite-difference copies, or the restarts of one lockstep stack.
+# Most isometry rows (restarts x m) of one lockstep stack of _solve_states.
 OBJECTIVE_ROWS = 8192
 # numpy sums a trailing axis of fewer floats strictly in order (a complex
 # entry is two floats); from this length on it sums pairwise, and such axes
 # keep numpy's own reduction.
 SHORT_AXIS = 8
 # Most multiply-adds in one GEMM of objective_many, which runs its stack in
-# blocks of whole isometries within this bound, so its work arrays hold one
-# block.  OpenBLAS hands larger products to its thread pool, and with default
-# threads that hand-off stalled these thin products by milliseconds; qubit
-# stacks stay one block.
+# blocks of whole isometries within this bound (_Evaluator.block_size), as
+# _fd_gradient runs its copies, so the work arrays hold one block.  OpenBLAS
+# hands larger products to its thread pool, and with default threads that
+# hand-off stalled these thin products by milliseconds; qubit stacks stay one
+# block.
 GEMM_WORK = 65536
 STEP_CAP = 1.0
 # A restart stops when its step falls below STEP_TOL, or when two accepted
@@ -261,7 +263,7 @@ class _Evaluator:
 
     Every stage of a call is computed in place in work arrays that the
     evaluator keeps and reuses across calls, each grown to the largest
-    stack it has seen.  The buffers belong to this evaluator, and so to one
+    block it has seen.  The buffers belong to this evaluator, and so to one
     call of ``_solve_states``: do not share an evaluator across solves or
     threads.
     """
@@ -288,29 +290,44 @@ class _Evaluator:
             at += len(ops) * d
         self.kraus_t = np.vstack([k for ops, _ in norm + gram for k in ops]).T.copy()
         self._buffers: dict[str, np.ndarray] = {}
+        self._views: dict[tuple, np.ndarray] = {}
 
     def work(self, name: str, shape: tuple, dtype=float) -> np.ndarray:
         """Work array ``name`` viewed with ``shape``; its contents are stale.
 
         One flat array per name, replaced by a larger one when a call needs
-        more room, so every view starts at the array's first element.
+        more room, so every view starts at the array's first element.  Each
+        (name, shape) view is built once and kept until its array is
+        replaced, so a block of a size seen before pays no view set-up.
         """
-        size = math.prod(shape)
-        flat = self._buffers.get(name)
-        if flat is None or flat.size < size:
-            flat = self._buffers[name] = np.empty(size, dtype=dtype)
-        return flat[:size].reshape(shape)
+        view = self._views.get((name, shape))
+        if view is None:
+            size = math.prod(shape)
+            flat = self._buffers.get(name)
+            if flat is None or flat.size < size:
+                flat = self._buffers[name] = np.empty(size, dtype=dtype)
+                self._views = {key: old for key, old in self._views.items() if key[0] != name}
+            view = self._views[(name, shape)] = flat[:size].reshape(shape)
+        return view
+
+    def block_size(self, m: int, r: int) -> int:
+        """Most (m, r) isometries whose products stay within ``GEMM_WORK``: one block.
+
+        All of any qubit stack, 104 at d = 5 pinching, 50 at d = 6.
+        """
+        n, width = self.roots[0].shape[1], self.kraus_t.shape[1]
+        return max(1, GEMM_WORK // (n * max(r, width) * m))
 
     def objective_many(self, isometries: np.ndarray, owners: np.ndarray) -> np.ndarray:
         """Objective for a stack of isometries of any length, shape (batch, m, r) -> (batch,).
 
         ``owners[i]`` is the index of the state that isometry ``i`` mixes;
         it never decreases along the stack.  The stack runs in blocks of
-        whole isometries whose products stay within ``GEMM_WORK``
-        multiply-adds, each block from its GEMMs to its sums, so the work
-        arrays hold one block.  In a block, ``phi = rows @ root`` is one
-        GEMM per run of one state's isometries, and ``a = phi @ kraus_t``
-        one GEMM over all its rows, since the channel is shared.  Rows do
+        ``block_size`` whole isometries, each block from its GEMMs to its
+        sums, so the work arrays hold one block.  In a block,
+        ``phi = rows @ root`` is one GEMM per run of one state's isometries,
+        and ``a = phi @ kraus_t`` one GEMM over all its rows, since the
+        channel is shared.  Rows do
         not mix, so every isometry gets the same arithmetic whatever its
         block and its neighbours.  Sums over a short trailing axis (a norm
         block's columns, a pair block's entries, a member's weight) run as
@@ -322,7 +339,7 @@ class _Evaluator:
         """
         batch, m, r = isometries.shape
         n, width = self.roots[0].shape[1], self.kraus_t.shape[1]
-        per_block = max(1, GEMM_WORK // (n * max(r, width) * m))
+        per_block = self.block_size(m, r)
         values = np.empty(batch)
         for at in range(0, batch, per_block):
             own = owners[at : at + per_block]
@@ -383,7 +400,7 @@ def _qr_failed(err, flag):
     raise np.linalg.LinAlgError("Incorrect argument found while performing QR factorization")
 
 
-def _retract(a: np.ndarray) -> np.ndarray:
+def _retract(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """QR re-orthonormalization with positive-real R-diagonal, consuming ``a``.
 
     Acts along the last two axes; fixed phases make the map the identity on
@@ -392,7 +409,9 @@ def _retract(a: np.ndarray) -> np.ndarray:
     itself, which the first overwrites with its Householder output when
     ``a`` is a C-contiguous writeable float64 or complex128 array (any other
     input is copied first).  Only R's diagonal is read, from that output;
-    R itself is never built.  A failed factorization raises ``LinAlgError``.
+    R itself is never built.  Q is written into ``out`` when given (an array
+    of ``a``'s shape and of that dtype), which is returned, and into a new
+    array otherwise.  A failed factorization raises ``LinAlgError``.
     """
     kind = "D" if np.iscomplexobj(a) else "d"
     if not (a.dtype == kind and a.flags.c_contiguous and a.flags.writeable):
@@ -400,7 +419,7 @@ def _retract(a: np.ndarray) -> np.ndarray:
     with np.errstate(call=_qr_failed, invalid="call", over="ignore", divide="ignore",
                      under="ignore"):
         tau = _qr_r_raw(a, signature=f"{kind}->{kind}")
-        q = _qr_reduced(a, tau, signature=f"{kind}{kind}->{kind}")
+        q = _qr_reduced(a, tau, signature=f"{kind}{kind}->{kind}", out=out)
     d = np.diagonal(a, axis1=-2, axis2=-1)
     mag = np.abs(d)
     phase = np.where(mag > 0.0, d / np.where(mag > 0.0, mag, 1.0), 1.0)
@@ -415,29 +434,37 @@ def _fd_gradient(
 
     ``v`` is a stack of isometries, shape (k, m, r), ``owners`` the index of
     each one's state (never decreasing) and ``f0`` their objective values.
-    The 2·m·r perturbed copies of each are built and evaluated in chunks of
-    at most ``OBJECTIVE_ROWS`` rows (copies x m), cut wherever that count
-    falls; each copy keeps its restart's owner.  Each chunk's copies are
-    gathered into one of the evaluator's work arrays, and only the bumped
-    entry of each copy is then added to: a broadcast add would turn its
-    -0.0 entries into +0.0, which flips the sign QR gives a reflector.  The
-    retraction then consumes the work array in place.
+    The 2·m·r perturbed copies of each run in blocks of the evaluator's
+    ``block_size``, cut wherever that count falls, so each block is
+    gathered, bumped, retracted and evaluated in one go and pays each
+    stage's fixed cost once; each copy keeps its restart's owner.  The
+    copy, column and bump index arrays are built once per call.  A block's
+    copies are gathered into the evaluator's ``fd`` work array, and only the
+    bumped entry of each copy is then added to: a broadcast add would turn
+    its -0.0 entries into +0.0, which flips the sign QR gives a reflector.
+    The retraction consumes ``fd`` in place and writes Q into the ``q`` work
+    array, which the objective reads.
     """
     k, m, r = v.shape
     count = m * r
     flat = v.reshape(k, count)
     span = 2 * count
     total = span * k
-    chunk = max(1, OBJECTIVE_ROWS // m)
+    block = ev.block_size(m, r)
+    own, col = np.divmod(np.arange(total), span)
+    bump = np.where(col < count, FD_STEP, 1j * FD_STEP)
+    np.remainder(col, count, out=col)
+    copy_owners = owners[own]
+    lanes = np.arange(min(block, total))
     values = np.empty(total)
-    for at in range(0, total, chunk):
-        own, col = np.divmod(np.arange(at, min(at + chunk, total)), span)
-        batch = np.take(flat, own, axis=0, out=ev.work("fd", (own.size, count), complex),
+    for at in range(0, total, block):
+        size = min(block, total - at)
+        cut = slice(at, at + size)
+        batch = np.take(flat, own[cut], axis=0, out=ev.work("fd", (size, count), complex),
                         mode="clip")
-        batch[np.arange(own.size), col % count] += np.where(col < count, FD_STEP, 1j * FD_STEP)
-        values[at : at + own.size] = ev.objective_many(
-            _retract(batch.reshape(-1, m, r)), owners[own]
-        )
+        batch[lanes[:size], col[cut]] += bump[cut]
+        q = _retract(batch.reshape(size, m, r), out=ev.work("q", (size, m, r), complex))
+        values[cut] = ev.objective_many(q, copy_owners[cut])
     g = (values.reshape(k, span) - f0[:, None]) / FD_STEP
     return (g[:, :count] + 1j * g[:, count:]).reshape(k, m, r)
 

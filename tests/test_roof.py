@@ -314,6 +314,29 @@ class TestSolveR:
             solve_R(DensityOperator(np.eye(3) / 3), diagonal_pinching(2), FAST)
 
 
+class TestRankDeficientState:
+    """A rank-2 state in d = 3: isometries of two columns, members in its support."""
+
+    @pytest.mark.parametrize("channel", [
+        diagonal_pinching(3),
+        commutative_channel([np.diag([1.0, 1, 0]), np.diag([0.0, 0, 1])]),
+    ], ids=["pinching", "commutative"])
+    @pytest.mark.parametrize("length", [None, 2])
+    def test_rank_two_qutrit(self, rng, channel, length):
+        w = haar_unitary(3, rng)[:, :2]
+        rho = DensityOperator(w @ np.diag([0.65, 0.35]) @ w.conj().T)
+        support = w @ w.conj().T
+        cfg = SolverConfig(restarts=3, max_iters=60, max_length=length)
+        res = solve_R(rho, channel, cfg)
+        assert len(res.optimal_ensemble) <= (length or 9)
+        for _, member in res.optimal_ensemble.members():
+            assert np.max(np.abs(member.matrix - support @ member.matrix @ support)) <= 1e-9
+        assert np.max(np.abs(convex_sum(res.optimal_ensemble).matrix - rho.matrix)) <= 1e-9
+        assert res.value_H >= -1e-8
+        enc = lambda r: json.dumps(roof_result_to_json(r), sort_keys=True)
+        assert enc(solve_R(rho, channel, cfg)) == enc(res)
+
+
 class TestLockstepRestarts:
     """Restarts share one stack, but each follows its own path exactly."""
 
@@ -325,14 +348,15 @@ class TestLockstepRestarts:
 
     def test_chunked_gradient_stack_independent(self, rng):
         # At d = 5 one restart perturbs 2 * 25 * 5 = 250 isometries of 25
-        # rows, so the gradient stack of 3 or 4 restarts is cut into several
-        # chunks.
+        # rows, more than one evaluator block holds, so the gradient stack of
+        # 1, 3 or 4 restarts is cut into several blocks, at different places
+        # within each restart's copies.
         g = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
         h = g @ g.conj().T
         rho = DensityOperator(h / np.trace(h).real)
         channel = pinching([np.diag([1.0, 1, 0, 0, 0]), np.diag([0.0, 0, 1, 1, 0]),
                             np.diag([0.0, 0, 0, 0, 1])])
-        assert 3 * 2 * 25 * 5 * 25 > OBJECTIVE_ROWS
+        assert 2 * 25 * 5 > _Evaluator([rho], channel, DEFAULT_TOL).block_size(25, 5)
         full = solve_R(rho, channel, SolverConfig(restarts=4, max_iters=6))
         for j in (1, 3):
             part = solve_R(rho, channel, SolverConfig(restarts=j, max_iters=6))
@@ -340,8 +364,9 @@ class TestLockstepRestarts:
 
     @pytest.mark.parametrize("length", [25, 60])
     def test_stacked_gradient_matches_single(self, rng, length):
-        # 60 rows give 2 * 60 * 5 = 600 copies per restart, more than one
-        # chunk of copies holds, so each restart's copies are split as well.
+        # A d = 5 block holds 104 copies of 25 rows or 43 of 60, fewer than
+        # one restart's 250 or 600, so each restart's copies are split
+        # across blocks as well.
         g = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
         h = g @ g.conj().T
         rho = DensityOperator(h / np.trace(h).real)
@@ -465,8 +490,10 @@ def _retract_reference(a):
 def _fd_gradient_reference(ev, v, owners, f0):
     """Gather-and-bump forward differences, building fresh copies per chunk.
 
-    Its chunks hold whole restarts where they fit, unlike ``_fd_gradient``'s,
-    so a match also shows that where a chunk is cut does not matter.
+    Its chunks hold whole restarts within ``OBJECTIVE_ROWS`` rows where they
+    fit, while ``_fd_gradient`` cuts its copies at the evaluator's block
+    size wherever that count falls, so a match also shows that where the
+    copies are cut does not matter.
     """
     k, m, r = v.shape
     count = m * r
@@ -488,6 +515,21 @@ def _fd_gradient_reference(ev, v, owners, f0):
 
 def bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _signed_zero_case(rng, length):
+    """A d = 5 state, a three-block pinching and three restarts with -0.0 entries."""
+    rho = ginibre_density(5, rng)
+    channel = pinching([np.diag([1.0, 1, 0, 0, 0]), np.diag([0.0, 0, 1, 1, 0]),
+                        np.diag([0.0, 0, 0, 0, 1])])
+    v = _retract(np.stack(_start_isometries(length, 5, SolverConfig(restarts=3))))
+    g = rng.normal(size=(length, 5)) + 1j * rng.normal(size=(length, 5))
+    g[0, 0] = 0.0
+    v[0] = _retract(g)
+    v[0, 0, 0] = complex(-0.0, -0.0)
+    v[1].imag[v[1].imag == 0.0] = -0.0
+    assert np.signbit(v[0, 0, 0].real) and np.signbit(v[0, 0, 0].imag)
+    return rho, channel, v
 
 
 class TestWorkBuffers:
@@ -559,24 +601,35 @@ class TestWorkBuffers:
     @pytest.mark.parametrize("length", [25, 60])
     def test_fd_gradient_matches_reference(self, rng, length):
         # 60 rows at rank 5 give 600 copies per restart, so one restart is
-        # split across chunks.  -0.0 entries must keep their sign in every
+        # split across blocks.  -0.0 entries must keep their sign in every
         # copy where they are not bumped: in restart 0 the first entry of
         # the first column is -0.0, whose sign picks QR's first reflector.
-        rho = ginibre_density(5, rng)
-        channel = pinching([np.diag([1.0, 1, 0, 0, 0]), np.diag([0.0, 0, 1, 1, 0]),
-                            np.diag([0.0, 0, 0, 0, 1])])
+        rho, channel, v = _signed_zero_case(rng, length)
         ev = _Evaluator([rho], channel, DEFAULT_TOL)
-        v = _retract(np.stack(_start_isometries(length, 5, SolverConfig(restarts=3))))
-        g = rng.normal(size=(length, 5)) + 1j * rng.normal(size=(length, 5))
-        g[0, 0] = 0.0
-        v[0] = _retract(g)
-        v[0, 0, 0] = complex(-0.0, -0.0)
-        v[1].imag[v[1].imag == 0.0] = -0.0
-        assert np.signbit(v[0, 0, 0].real) and np.signbit(v[0, 0, 0].imag)
         f0 = ev.objective_many(v, alone(len(v)))
         expected = _fd_gradient_reference(_Evaluator([rho], channel, DEFAULT_TOL), v, alone(3), f0)
         assert np.array_equal(_fd_gradient(ev, v, alone(3), f0), expected)
         assert np.array_equal(_fd_gradient(ev, v[1:], alone(2), f0[1:]), expected[1:])
+
+    @pytest.mark.parametrize("copies", [1, 7])
+    def test_fd_gradient_does_not_depend_on_its_cuts(self, rng, monkeypatch, copies):
+        # The 750 copies of three d = 5 restarts run in blocks of 104 by
+        # default; a smaller GEMM_WORK cuts them into blocks of 1 copy, or of
+        # 7 with a last runt of 1.  The work arrays hold one block.
+        rho, channel, v = _signed_zero_case(rng, 25)
+        ev = _Evaluator([rho], channel, DEFAULT_TOL)
+        f0 = ev.objective_many(v, alone(3))
+        expected = _fd_gradient(ev, v, alone(3), f0)
+        block = ev.block_size(25, 5)
+        assert block == 104
+        for name in ("fd", "q"):
+            assert ev._buffers[name].size <= block * 25 * 5
+        monkeypatch.setattr(roof, "GEMM_WORK", copies * 5 * 5 * 25)
+        ev = _Evaluator([rho], channel, DEFAULT_TOL)
+        assert ev.block_size(25, 5) == copies
+        assert np.array_equal(bits(_fd_gradient(ev, v, alone(3), f0)), bits(expected))
+        for name in ("fd", "q"):
+            assert ev._buffers[name].size == copies * 25 * 5
 
     def test_retract_overwrites_input_and_fixes_isometries(self, rng):
         # A C-contiguous complex stack is the retraction's to overwrite.
@@ -601,6 +654,10 @@ class TestWorkBuffers:
         for x in (a, a.real.copy()):
             expected = bits(_retract_reference(x))
             assert np.array_equal(bits(_retract(x.copy())), expected)
+            # Q written into a given array, which is returned itself.
+            out = np.empty_like(x)
+            assert _retract(x.copy(), out=out) is out
+            assert np.array_equal(bits(out), expected)
             # A view in another memory order is copied, with the same result.
             view = np.moveaxis(np.moveaxis(x, 0, -1).copy(), -1, 0)
             assert np.array_equal(bits(_retract(view)), expected)
