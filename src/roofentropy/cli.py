@@ -272,6 +272,9 @@ def _cmd_verify(ns: argparse.Namespace) -> dict:
 
 
 def _flatten(prefix: str, value, rows: list):
+    # A list of objects (verify's checks) expands by index; other lists elide.
+    if isinstance(value, list) and value and all(isinstance(x, dict) for x in value):
+        value = dict(enumerate(value))
     if isinstance(value, dict):
         for key in sorted(value):
             _flatten(f"{prefix}.{key}" if prefix else str(key), value[key], rows)

@@ -6,25 +6,26 @@ applied to the square-root-scaled eigenvectors of the state.  The solver
 searches that isometry manifold with multi-start descent along the
 forward-difference gradient of the objective composed with the QR
 retraction, so iterates stay on the manifold.  The retraction runs LAPACK's
-QR in place on stacks the solver owns (its gradient copies, line-search
-candidates and starts) and reads only R's diagonal, so it allocates little
-more than Q.  The restarts run in lockstep as one stack of isometries; each
-keeps its own step and stopping rule and leaves the stack when it stops.
-Solves of several states under one channel (the affinity certificate's
-re-solves, say) share such a stack: every isometry carries the index of its
-state, and each state's restarts follow the path they follow when that
-state is solved alone.
+QR on stacks the solver owns (its gradient copies, line-search candidates
+and starts), reads only R's diagonal and writes Q over its input, so it
+allocates only per-matrix vectors.  The restarts run in lockstep as one
+stack of isometries; each keeps its own step and stopping rule and leaves
+the stack when it stops.  Solves of several states under one channel (the
+affinity certificate's re-solves, say) share such a stack: every isometry
+carries the index of its state, and each state's restarts follow the path
+they follow when that state is solved alone.
 
 The line search tries the two longest steps of its halving ladder first and
-the shorter ones only for restarts those did not improve.  The objective
-takes a stack of any length and runs it in blocks of whole isometries whose
-products stay within ``GEMM_WORK`` multiply-adds.  The gradient cuts its
-finite-difference copies at that same block size, so each block of copies
-is gathered, bumped, retracted and evaluated in one go, in work arrays of
-one block; ``OBJECTIVE_ROWS`` bounds only the lockstep stacks.  Inside a
-block, sums over short trailing axes run as whole-block adds in the order
-numpy's own reduction uses, so every value is bit for bit what ``np.sum``
-and ``np.add.reduceat`` give.
+the shorter ones only for restarts those did not improve; each stage moves
+the restarts it improves.  The objective takes a stack of any length and
+runs it in blocks of whole isometries whose products stay within
+``GEMM_WORK`` multiply-adds.  The gradient cuts its finite-difference
+copies at that same block size, so each block of copies is gathered,
+bumped, retracted and evaluated in one go, in one work array of one block;
+``OBJECTIVE_ROWS`` bounds only the lockstep stacks.  Inside a block, sums
+over short trailing axes run as whole-block adds in the order numpy's own
+reduction uses, so every value is bit for bit what ``np.sum`` and
+``np.add.reduceat`` give.
 """
 
 from __future__ import annotations
@@ -400,18 +401,17 @@ def _qr_failed(err, flag):
     raise np.linalg.LinAlgError("Incorrect argument found while performing QR factorization")
 
 
-def _retract(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """QR re-orthonormalization with positive-real R-diagonal, consuming ``a``.
+def _retract(a: np.ndarray) -> np.ndarray:
+    """QR re-orthonormalization with positive-real R-diagonal, written over ``a``.
 
     Acts along the last two axes; fixed phases make the map the identity on
     matrices that are already isometric.  The reduced Q is bit for bit
     ``np.linalg.qr(a)``'s: the same two LAPACK gufuncs run, but on ``a``
-    itself, which the first overwrites with its Householder output when
-    ``a`` is a C-contiguous writeable float64 or complex128 array (any other
-    input is copied first).  Only R's diagonal is read, from that output;
-    R itself is never built.  Q is written into ``out`` when given (an array
-    of ``a``'s shape and of that dtype), which is returned, and into a new
-    array otherwise.  A failed factorization raises ``LinAlgError``.
+    itself.  The first overwrites it with its Householder output, whose
+    diagonal (R's; R itself is never built) sets the phases; the second then
+    writes Q over it, and ``a`` is returned.  Any input that is not a
+    C-contiguous writeable float64 or complex128 array is copied first, and
+    the copy is returned.  A failed factorization raises ``LinAlgError``.
     """
     kind = "D" if np.iscomplexobj(a) else "d"
     if not (a.dtype == kind and a.flags.c_contiguous and a.flags.writeable):
@@ -419,12 +419,12 @@ def _retract(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     with np.errstate(call=_qr_failed, invalid="call", over="ignore", divide="ignore",
                      under="ignore"):
         tau = _qr_r_raw(a, signature=f"{kind}->{kind}")
-        q = _qr_reduced(a, tau, signature=f"{kind}{kind}->{kind}", out=out)
-    d = np.diagonal(a, axis1=-2, axis2=-1)
-    mag = np.abs(d)
-    phase = np.where(mag > 0.0, d / np.where(mag > 0.0, mag, 1.0), 1.0)
-    q *= phase[..., None, :]
-    return q
+        d = np.diagonal(a, axis1=-2, axis2=-1)
+        mag = np.abs(d)
+        phase = np.where(mag > 0.0, d / np.where(mag > 0.0, mag, 1.0), 1.0)
+        _qr_reduced(a, tau, signature=f"{kind}{kind}->{kind}", out=a)
+    a *= phase[..., None, :]
+    return a
 
 
 def _fd_gradient(
@@ -442,8 +442,7 @@ def _fd_gradient(
     copies are gathered into the evaluator's ``fd`` work array, and only the
     bumped entry of each copy is then added to: a broadcast add would turn
     its -0.0 entries into +0.0, which flips the sign QR gives a reflector.
-    The retraction consumes ``fd`` in place and writes Q into the ``q`` work
-    array, which the objective reads.
+    The retraction then writes Q over ``fd``, which the objective reads.
     """
     k, m, r = v.shape
     count = m * r
@@ -463,8 +462,7 @@ def _fd_gradient(
         batch = np.take(flat, own[cut], axis=0, out=ev.work("fd", (size, count), complex),
                         mode="clip")
         batch[lanes[:size], col[cut]] += bump[cut]
-        q = _retract(batch.reshape(size, m, r), out=ev.work("q", (size, m, r), complex))
-        values[cut] = ev.objective_many(q, copy_owners[cut])
+        values[cut] = ev.objective_many(_retract(batch.reshape(size, m, r)), copy_owners[cut])
     g = (values.reshape(k, span) - f0[:, None]) / FD_STEP
     return (g[:, :count] + 1j * g[:, count:]).reshape(k, m, r)
 
@@ -479,12 +477,13 @@ def _descend(ev: _Evaluator, starts: np.ndarray, owners: np.ndarray, cfg: Solver
     Every array operation acts slice by slice, so a restart's path does not
     depend on the others, whether they belong to its state or another.  The
     line search moves to the first rung of the halving ladder that improves.
-    It evaluates the first ``FIRST_RUNGS`` rungs for every restart, then the
-    rest only for the restarts with no improving rung yet; rungs it skips
-    count as +inf, so the pick is the one a full ladder gives.  ``starts``
-    is consumed: the first retraction overwrites it, as later ones overwrite
-    each stage's fresh candidate stack.  Returns the per-restart values,
-    isometries, converged flags and iteration counts.
+    It runs in two stages: the first ``FIRST_RUNGS`` rungs for every
+    restart, then the rest for the restarts the first stage did not move.
+    Each stage retracts its candidates in place, scores them and moves its
+    restarts to their first improving rung, the one a full ladder picks.
+    ``starts`` is consumed: the first retraction overwrites it.  Returns
+    the per-restart values, isometries, converged flags and iteration
+    counts.
     """
     v = _retract(starts)
     f = ev.objective_many(v, owners)
@@ -501,36 +500,29 @@ def _descend(ev: _Evaluator, starts: np.ndarray, owners: np.ndarray, cfg: Solver
         grad = _fd_gradient(ev, v[live], owners[live], f[live])
         zero = np.linalg.norm(grad.reshape(len(grad), -1), axis=1) < 1e-13
         idx, grad = live[~zero], grad[~zero]
-        scales = step[idx, None] * ladder
-        values = np.full(scales.shape, np.inf)
-        trial = np.empty(scales.shape + (m, r), dtype=complex)
         pending = np.arange(idx.size)
-        for rungs in (slice(0, FIRST_RUNGS), slice(FIRST_RUNGS, LADDER)):
+        for rungs in (ladder[:FIRST_RUNGS], ladder[FIRST_RUNGS:]):
             if pending.size == 0:
                 break
-            sizes = scales[pending, rungs, None, None]
-            candidates = v[idx[pending], None] - sizes * grad[pending, None]
-            tried = _retract(candidates.reshape(-1, m, r)).reshape(candidates.shape)
-            trial[pending, rungs] = tried
-            tried_owners = np.repeat(owners[idx[pending]], candidates.shape[1])
-            values[pending, rungs] = ev.objective_many(
-                tried.reshape(-1, m, r), tried_owners
-            ).reshape(candidates.shape[:2])
-            pending = pending[~(values[pending] < f[idx[pending], None]).any(axis=1)]
-        better = values < f[idx, None]
-        moved = better.any(axis=1)
+            j = idx[pending]
+            scales = step[j, None] * rungs
+            trial = _retract(v[j, None] - scales[..., None, None] * grad[pending, None])
+            values = ev.objective_many(
+                trial.reshape(-1, m, r), np.repeat(owners[j], rungs.size)
+            ).reshape(scales.shape)
+            better = values < f[j, None]
+            moved = better.any(axis=1)
+            pick = better[moved].argmax(axis=1)
+            rows, j = np.flatnonzero(moved), j[moved]
+            gain = f[j] - values[rows, pick]
+            v[j] = trial[rows, pick]
+            f[j] = values[rows, pick]
+            step[j] = np.minimum(scales[rows, pick] * 2.0, STEP_CAP)
+            stalls[j] = np.where(gain < VALUE_TOL, stalls[j] + 1, 0)
+            pending = pending[~moved]
         # No better candidate: shrink the step; the iteration still counts.
-        step[idx[~moved]] *= ladder[-1] * 0.5
-        rows = np.flatnonzero(moved)
-        pick = better[rows].argmax(axis=1)
-        j = idx[rows]
-        gain = f[j] - values[rows, pick]
-        v[j] = trial[rows, pick]
-        f[j] = values[rows, pick]
-        step[j] = np.minimum(scales[rows, pick] * 2.0, STEP_CAP)
-        stalls[j] = np.where(gain < VALUE_TOL, stalls[j] + 1, 0)
-        done = step[idx] < STEP_TOL
-        done[rows] |= stalls[j] >= 2
+        step[idx[pending]] *= ladder[-1] * 0.5
+        done = (step[idx] < STEP_TOL) | (stalls[idx] >= 2)
         ended = np.concatenate([live[zero], idx[done]])
         converged[ended] = True
         iterations[ended] = it

@@ -538,6 +538,24 @@ class TestRendering:
         assert rows["affinity.passed"] == "true"
         assert rows["result.converged"] == "false"
 
+    def test_table_expands_lists_of_objects(self, capsys):
+        # verify's checks are a list of objects: each shows by index, with
+        # its name, flag and details, so a failed check can be read off.
+        status, out, _ = run_main(
+            capsys, "verify", "--restarts", "1", "--max-iters", "5", "--format", "table"
+        )
+        rows = dict(line.split(None, 1) for line in out.splitlines())
+        report = json.loads(run_main(capsys, "verify", "--restarts", "1", "--max-iters", "5")[1])
+        assert status == 2 and "checks" not in rows
+        assert rows["counts.total"] == str(len(report["checks"])) == "25"
+        for i, check in enumerate(report["checks"]):
+            assert rows[f"checks.{i}.name"] == check["name"]
+            assert rows[f"checks.{i}.passed"] == json.dumps(check["passed"])
+            for key in check["details"]:
+                assert f"checks.{i}.details.{key}" in rows
+        failed = [v for k, v in rows.items() if k.endswith(".passed") and v == "false"]
+        assert len(failed) == int(rows["counts.failed"]) > 0
+
     def test_table_flattens_nested_keys(self, capsys):
         _, out, _ = run_main(
             capsys, "qubit-oracle", "--z", "0.3", "--terms", "20", "--format", "table"
