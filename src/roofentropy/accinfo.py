@@ -23,9 +23,9 @@ from typing import Sequence
 import numpy as np
 
 from .channels import (
-    COMPLETENESS_TOL,
     ReductionChannel,
     commutative_channel,
+    _require_identity_sum,
     _validate_projections,
 )
 from .ensembles import Ensemble
@@ -76,9 +76,7 @@ class Measurement:
         n = mats[0].shape[0]
         if any(m.shape != (n, n) for m in mats):
             raise ValidationError("measurement outcomes have mixed dimensions")
-        defect = float(np.max(np.abs(sum(mats) - np.eye(n))))
-        if defect > COMPLETENESS_TOL:
-            raise ValidationError(f"outcomes sum to identity defect {defect:.3e}")
+        _require_identity_sum(mats, n, "measurement outcomes")
         object.__setattr__(self, "outcomes", tuple(mats))
 
     @property

@@ -21,6 +21,7 @@ from .states import (
     PureState,
     Tolerances,
     ValidationError,
+    _as_square_matrix,
     _checked_psd,
     _coerce,
     _max_asymmetry,
@@ -44,6 +45,13 @@ __all__ = [
 
 COMPLETENESS_TOL = 1e-10
 ORTHOGONALITY_TOL = 1e-10
+
+
+def _require_identity_sum(terms, n: int, family: str) -> None:
+    """Raise unless ``sum(terms)`` is the ``n x n`` identity within ``COMPLETENESS_TOL``."""
+    defect = float(np.max(np.abs(sum(terms) - np.eye(n))))
+    if defect > COMPLETENESS_TOL:
+        raise ValidationError(f"{family} do not sum to identity: completeness defect {defect:.3e}")
 
 
 class KrausTerm(NamedTuple):
@@ -102,12 +110,8 @@ class ReductionChannel:
             terms.append(KrausTerm(b, k))
         if not terms:
             raise ValidationError("channel needs at least one Kraus term")
-        comp = sum(t.matrix.conj().T @ t.matrix for t in terms)
-        defect = float(np.max(np.abs(comp - np.eye(n))))
-        if defect > COMPLETENESS_TOL:
-            raise ValidationError(
-                f"Kraus completeness defect {defect:.3e} exceeds {COMPLETENESS_TOL:.3e}"
-            )
+        products = (t.matrix.conj().T @ t.matrix for t in terms)
+        _require_identity_sum(products, n, "Kraus products K^dag K")
         object.__setattr__(self, "input_dim", n)
         object.__setattr__(self, "block_dims", dims)
         object.__setattr__(self, "kraus", tuple(terms))
@@ -206,17 +210,13 @@ def diagonal_pinching(dim: int) -> ReductionChannel:
 
 
 def _validate_projections(projections: Sequence[np.ndarray]):
-    mats = [np.asarray(p, dtype=complex) for p in projections]
+    mats = [_as_square_matrix(p, f"projection {j}") for j, p in enumerate(projections)]
     if not mats:
         raise ValidationError("need at least one projection")
-    if mats[0].ndim != 2 or not mats[0].size:
-        raise ValidationError(f"projection 0 has shape {mats[0].shape}, expected a nonempty square matrix")
     n = mats[0].shape[0]
     for j, p in enumerate(mats):
         if p.shape != (n, n):
             raise ValidationError(f"projection {j} has shape {p.shape}, expected {(n, n)}")
-        if not np.isfinite(p).all():
-            raise ValidationError(f"projection {j} has non-finite entries")
         defect = float(np.max(np.abs(p @ p - p)))
         if defect > ORTHOGONALITY_TOL:
             raise ValidationError(f"projection {j} is not idempotent: defect {defect:.3e}")
@@ -230,10 +230,7 @@ def _validate_projections(projections: Sequence[np.ndarray]):
                 raise ValidationError(
                     f"projections {j} and {k} are not orthogonal: defect {defect:.3e}"
                 )
-    comp = sum(mats) - np.eye(n)
-    defect = float(np.max(np.abs(comp)))
-    if defect > ORTHOGONALITY_TOL:
-        raise ValidationError(f"projections do not sum to identity: defect {defect:.3e}")
+    _require_identity_sum(mats, n, "projections")
     return mats, n
 
 

@@ -77,6 +77,11 @@ def _solver_config(ns: argparse.Namespace, base: SolverConfig = SolverConfig()) 
     return dataclasses.replace(base, seed=ns.seed, **given)
 
 
+def _samples(ns: argparse.Namespace, name: str = "samples") -> dict:
+    """``{name: --samples}`` if the flag was given; else the library default applies."""
+    return {} if ns.samples is None else {name: ns.samples}
+
+
 def _load_json(raw: str, what: str):
     """Parse inline JSON or the contents of a file path."""
     text, origin = raw, "inline value"
@@ -165,8 +170,7 @@ def _cmd_roof(ns: argparse.Namespace) -> dict:
     with trace as fh:
         result = solve_R(rho, channel, cfg, tol, trace=fh)
     report = {"command": "roof", "result": roof_result_to_json(result)}
-    samples = 10 if ns.samples is None else ns.samples
-    cert = affinity_certificate(result, channel, samples=samples, config=cfg)
+    cert = affinity_certificate(result, channel, config=cfg, **_samples(ns))
     report["affinity"] = {
         "max_discrepancy": cert.max_discrepancy,
         "samples": len(cert.discrepancies),
@@ -240,8 +244,7 @@ def _cmd_accinfo(ns: argparse.Namespace) -> dict:
     raw = _load_json(_require_input(ns, "projections"), "--projections")
     projections = _decode_projections(raw, "--projections")
     cfg = _solver_config(ns)
-    samples = 256 if ns.samples is None else ns.samples
-    bracket = benatti_bracket(rho, projections, cfg, measurement_samples=samples, tol=tol)
+    bracket = benatti_bracket(rho, projections, cfg, tol=tol, **_samples(ns, "measurement_samples"))
     hc = holevo_check(rho, bracket.roof, tol)
     return {
         "command": "accinfo",
@@ -265,8 +268,7 @@ def _cmd_accinfo(ns: argparse.Namespace) -> dict:
 
 
 def _cmd_verify(ns: argparse.Namespace) -> dict:
-    samples = 1 if ns.samples is None else ns.samples
-    report = run_verify(seed=ns.seed, samples=samples, solver=_solver_config(ns, VERIFY_SOLVER))
+    report = run_verify(seed=ns.seed, solver=_solver_config(ns, VERIFY_SOLVER), **_samples(ns))
     report["command"] = "verify"
     return report
 

@@ -120,7 +120,8 @@ def mutual_entropy(ensemble: Ensemble, channel: ReductionChannel, form: str = "h
         ``"relative"`` computes ``sum_j p_j S(reduce(rho_j), reduce(mix))``
         as a cross-check.  The two agree whenever supports behave, and the
         Holevo form is the numerically stable default.  Both validate under
-        the ensemble's tolerance.
+        the ensemble's tolerance.  The relative form skips members of weight
+        ``p`` at most the support cutoff, whose term is at most ``-p ln p``.
     """
     if form not in ("holevo", "relative"):
         raise ValidationError(f"unknown mutual entropy form {form!r}")
@@ -136,7 +137,7 @@ def mutual_entropy(ensemble: Ensemble, channel: ReductionChannel, form: str = "h
     sigma = DensityOperator(reduced_mix.to_dense(), tol)
     total = 0.0
     for p, rho in ensemble.members():
-        if p <= 0.0:
+        if p <= tol.support:
             continue
         member = DensityOperator(reduce_state(channel, rho, tol).to_dense(), tol)
         total += p * relative_entropy(member, sigma, tol)

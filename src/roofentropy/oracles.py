@@ -50,6 +50,13 @@ def _magnitude(z) -> float:
     return mag
 
 
+def _mixing_weights(z: float) -> tuple:
+    """``mu_pm = 1/2 +- sqrt(1 - 4 min(|z|, 1/2)^2) / 2``: sum one, product ``min(|z|, 1/2)^2``."""
+    mag = min(abs(z), 0.5)
+    root = math.sqrt(max(0.0, 1.0 - 4.0 * mag * mag))
+    return 0.5 + 0.5 * root, 0.5 - 0.5 * root
+
+
 def qubit_R(z) -> float:
     """Exact roof value of a qubit under the diagonal pinching.
 
@@ -58,9 +65,7 @@ def qubit_R(z) -> float:
     Any valid qubit density operator has ``|z| <= 1/2``; magnitudes beyond
     ``1/2 + DOMAIN_TOL`` are a domain error.
     """
-    mag = min(_magnitude(z), 0.5)
-    q = 0.5 + 0.5 * math.sqrt(max(0.0, 1.0 - 4.0 * mag * mag))
-    return binary_entropy(q)
+    return binary_entropy(_mixing_weights(_magnitude(z))[0])
 
 
 def qubit_R_series(z, terms: int) -> float:
@@ -116,8 +121,8 @@ def block_example_analyze(
     """Extract the spectral data driving the explicit block decomposition.
 
     Checks the Cauchy-Schwarz relation ``z_k^2 <= lambda_k * lam`` for every
-    eigendirection and the defining identities of ``mu_plus``/``mu_minus``
-    when they exist.  The complement of ``psi`` is spanned by block 0 of
+    eigendirection; ``mu_plus``/``mu_minus`` are the weights of
+    :func:`qubit_R` at ``z``.  The complement of ``psi`` is spanned by block 0 of
     ``block_compression(psi)``, the channel this is the oracle for, so
     ``psi`` must pass that channel's checks; every result, ``psi`` in the
     returned data included, uses the vector that channel was built from.
@@ -151,14 +156,9 @@ def block_example_analyze(
                 f"overlap bound violated at direction {k}: z_k^2 - lambda_k*lam = {slack:.3e}"
             )
     if z <= 0.5 + DOMAIN_TOL:
-        root = math.sqrt(max(0.0, 1.0 - 4.0 * min(z, 0.5) ** 2))
-        mu_plus = 0.5 + 0.5 * root
-        mu_minus = 0.5 - 0.5 * root
-        if abs(mu_plus + mu_minus - 1.0) > 1e-10 or abs(mu_plus * mu_minus - min(z, 0.5) ** 2) > 1e-10:
-            raise ValidationError("mixing weights failed their defining identities")
+        mu_plus, mu_minus = _mixing_weights(z)
     else:
-        mu_plus = math.nan
-        mu_minus = math.nan
+        mu_plus = mu_minus = math.nan
     eigvals.setflags(write=False)
     overlaps.setflags(write=False)
     vecs.setflags(write=False)

@@ -656,7 +656,7 @@ class AffinityCertificate:
 def affinity_certificate(
     result: RoofResult,
     channel: ReductionChannel,
-    samples: int = 20,
+    samples: int = 10,
     config: SolverConfig | None = None,
 ) -> AffinityCertificate:
     """Probe affinity of the roof on the face spanned by the optimal ensemble.

@@ -77,9 +77,9 @@ DEFAULT_TOL = Tolerances()
 def _as_square_matrix(m, subject: str = "matrix") -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
-        raise ValidationError(f"{subject}: expected a nonempty square matrix, got shape {a.shape}")
+        raise ValidationError(f"{subject} has shape {a.shape}, expected a nonempty square matrix")
     if not np.isfinite(a).all():
-        raise ValidationError(f"{subject}: non-finite entries")
+        raise ValidationError(f"{subject} has non-finite entries")
     return a
 
 

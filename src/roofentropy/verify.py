@@ -40,6 +40,7 @@ from .sampling import (
     _column_projections,
     ginibre_density,
     haar_unitary,
+    random_commutative,
     random_ensemble,
     random_partition,
     random_pinching,
@@ -109,7 +110,7 @@ def _random_channel(dim, rng):
         return diagonal_pinching(dim)
     if kind == 1:
         return random_pinching(dim, rng)
-    return commutative_channel(random_projections(dim, rng))
+    return random_commutative(dim, rng)
 
 
 def _check_mutual_nonneg(rng, n, cfg):
@@ -242,7 +243,7 @@ def _check_concavity(rng, n, cfg):
     worst = math.inf
     for _ in range(2 * n):
         dim = int(rng.integers(2, 4))
-        ch = commutative_channel(random_projections(dim, rng))
+        ch = random_commutative(dim, rng)
         a, b = ginibre_density(dim, rng), ginibre_density(dim, rng)
         t = float(rng.uniform(0.1, 0.9))
         mix = DensityOperator(t * a.matrix + (1 - t) * b.matrix)
@@ -393,7 +394,7 @@ def _check_holevo(rng, n, cfg):
     for _ in range(2 * n):
         dim = int(rng.integers(2, 5))
         rho = ginibre_density(dim, rng)
-        hc = holevo_check(rho, solve_R(rho, commutative_channel(random_projections(dim, rng)), cfg))
+        hc = holevo_check(rho, solve_R(rho, random_commutative(dim, rng), cfg))
         worst = max(worst, hc.channel_entropy - hc.state_entropy)
     return worst <= 1e-6, {"max_H_minus_S": worst}
 

@@ -91,7 +91,7 @@ class TestMeasurement:
             Measurement((np.ones((1, 2)),))
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValidationError, match="outcome 1: .*non-finite"):
+        with pytest.raises(ValidationError, match="outcome 1 has non-finite"):
             Measurement((np.diag([1.0, 0.0]), np.diag([0.0, np.nan])))
 
     def test_rejects_empty(self):

@@ -6,6 +6,7 @@ import pytest
 from roofentropy import (
     BlockDensity,
     DensityOperator,
+    Measurement,
     PureState,
     ReductionChannel,
     ValidationError,
@@ -154,6 +155,16 @@ class TestPinching:
     def test_rejects_incomplete_family(self):
         with pytest.raises(ValidationError, match="identity"):
             pinching([np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 0.0])])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ReductionChannel(2, (1,), ((0, [[1.0, 0.0]]),)),
+    lambda: pinching([np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 0.0])]),
+    lambda: Measurement((np.diag([1.0, 0.0]),)),
+], ids=["kraus", "projections", "outcomes"])
+def test_families_share_the_identity_sum_check(build):
+    with pytest.raises(ValidationError, match="do not sum to identity: completeness defect 1.000e"):
+        build()
 
 
 class TestBlockCompression:

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 
 import numpy as np
@@ -6,7 +7,16 @@ import pytest
 
 import roofentropy.cli as cli
 import roofentropy.verify as verify
-from roofentropy import SolverConfig, Tolerances, ValidationError, channel_to_json, diagonal_pinching
+from roofentropy import (
+    SolverConfig,
+    Tolerances,
+    ValidationError,
+    affinity_certificate,
+    benatti_bracket,
+    channel_to_json,
+    diagonal_pinching,
+    run_verify,
+)
 from roofentropy.cli import main
 from roofentropy.verify import VERIFY_SOLVER
 
@@ -214,6 +224,35 @@ class TestMutualCommand:
         assert report["length"] == 2
         assert report["mutual_entropy"] == pytest.approx(0.0, abs=1e-12)
         assert report["form_difference"] == pytest.approx(0.0, abs=1e-10)
+
+
+    def test_member_below_the_support_cutoff(self, capsys):
+        # The 1e-12 member lies where the reduced mixture's eigenvalue is 1e-12,
+        # below the 1e-10 support cutoff, so its relative entropy is infinite;
+        # its term is at most -p ln p, and the relative form skips it.
+        ensemble = json.dumps(
+            {"weights": [0.999999999999, 1e-12], "states": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]}
+        )
+        status, out, err = run_main(capsys, "mutual", "--ensemble", ensemble, "--channel", DIAG2)
+        assert status == 0, err
+
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        report = json.loads(out, parse_constant=reject)
+        assert abs(report["form_difference"]) <= 1e-10
+
+
+@pytest.mark.parametrize("argv, function, name", [
+    (["roof", "--state", RHO, "--channel", DIAG2, *FAST_FLAGS], affinity_certificate, "samples"),
+    (["accinfo", "--state", RHO, "--projections", "[[[1,0],[0,0]],[[0,0],[0,1]]]",
+      "--restarts", "2", "--max-iters", "20"], benatti_bracket, "measurement_samples"),
+    (["verify"], run_verify, "samples"),
+], ids=["roof", "accinfo", "verify"])
+def test_omitted_samples_is_the_library_default(capsys, monkeypatch, argv, function, name):
+    monkeypatch.setattr(verify, "CHECKS", ())
+    default = inspect.signature(function).parameters[name].default
+    assert run_json(capsys, *argv) == run_json(capsys, *argv, "--samples", str(default))
 
 
 class TestRoofCommand:

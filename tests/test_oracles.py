@@ -17,10 +17,12 @@ from roofentropy import (
     block_example_analyze,
     block_example_decomposition,
     convex_sum,
+    diagonal_pinching,
     qubit_R,
     qubit_R_series,
     solve_R,
 )
+from roofentropy.oracles import DOMAIN_TOL, _mixing_weights
 from roofentropy.sampling import ginibre_density
 from roofentropy.states import DEFAULT_TOL
 
@@ -76,6 +78,54 @@ class TestQubitClosedForm:
     def test_midpoint_convexity(self, a, b):
         mid = 0.5 * (a + b)
         assert qubit_R(mid) <= 0.5 * qubit_R(a) + 0.5 * qubit_R(b) + 1e-12
+
+
+def _qubit_weight_reference(z):
+    """Reference: qubit_R's mixing weight, squaring the magnitude as ``mag * mag``."""
+    mag = min(abs(z), 0.5)
+    return 0.5 + 0.5 * math.sqrt(max(0.0, 1.0 - 4.0 * mag * mag))
+
+
+def _block_weights_reference(z):
+    """Reference: block_example_analyze's weights, squaring the coupling as ``z ** 2``."""
+    root = math.sqrt(max(0.0, 1.0 - 4.0 * min(z, 0.5) ** 2))
+    return 0.5 + 0.5 * root, 0.5 - 0.5 * root
+
+
+WEIGHT_GRID = np.concatenate([
+    np.linspace(0.0, 0.5, 20001),
+    np.random.default_rng(2026).uniform(0.0, 0.5, 20000),
+    0.5 + DOMAIN_TOL * np.array([0.5, 1.0]),
+]).tolist()
+
+
+class TestMixingWeights:
+    def test_qubit_R_keeps_its_bits(self):
+        for z in WEIGHT_GRID:
+            assert _mixing_weights(z)[0] == _qubit_weight_reference(z)
+        for z in WEIGHT_GRID[::100]:
+            w = z * np.exp(0.3j)
+            assert qubit_R(w) == binary_entropy(_qubit_weight_reference(w))
+
+    def test_block_weights_move_only_where_pow_misrounds_the_square(self):
+        # ``z * z`` is correctly rounded; the platform's ``pow`` need not be.
+        for z in WEIGHT_GRID:
+            got, want = _mixing_weights(z), _block_weights_reference(z)
+            if got != want:
+                mag = min(z, 0.5)
+                assert mag * mag != mag**2
+                assert all(abs(g - w) <= np.spacing(0.5) for g, w in zip(got, want))
+
+    def test_defining_identities_hold_to_rounding(self):
+        for z in WEIGHT_GRID:
+            plus, minus = _mixing_weights(z)
+            mag = min(z, 0.5)
+            assert abs(plus + minus - 1.0) <= 2.3e-16
+            assert abs(plus * minus - mag * mag) <= 2e-16
+
+    def test_block_oracle_takes_the_same_weights(self):
+        data = block_example_analyze(DensityOperator(SAMPLE3), E3)
+        assert (data.mu_plus, data.mu_minus) == _mixing_weights(data.z)
 
 
 class TestQubitSeries:
@@ -300,3 +350,74 @@ class TestTwoQubitPartialTrace:
         eof = wootters_eof(rho)
         result = solve_R(DensityOperator(rho), TRACE_B, SolverConfig(restarts=8, max_iters=400))
         assert eof - 1e-9 <= result.value_R <= eof + 1e-7
+
+
+# Under diagonal_pinching(d), the permutation-symmetric state
+# omega_F = alpha I + beta J (J all ones, alpha = (1 - F) / (d - 1),
+# beta = 1/d - alpha, so that <Psi|omega_F|Psi> = F for Psi = (1, ..., 1)/sqrt(d))
+# has the roof of Terhal & Vollbrecht's isotropic states (PRL 85, 2625 (2000)):
+# eps(F) = h(gamma) + (1 - gamma) ln(d - 1) with
+# gamma = (sqrt(F) + sqrt((d - 1)(1 - F)))^2 / d and h in nats, on the curved
+# part 1/d < F < 4(d - 1)/d^2.  A permutation with diagonal phases commutes
+# with the pinching, so R is the same along that orbit of omega_F.
+
+
+def isotropic(d, F):
+    alpha = (1.0 - F) / (d - 1)
+    return alpha * np.eye(d) + (1.0 / d - alpha) * np.ones((d, d))
+
+
+def isotropic_roof(d, F):
+    """eps(F), with 1 - gamma = ((dF - 1) / (sqrt((d-1)F) + sqrt(1-F)))^2 / d free of cancellation."""
+    rest = ((d * F - 1.0) / (math.sqrt((d - 1) * F) + math.sqrt(1.0 - F))) ** 2 / d
+    return -(1.0 - rest) * math.log1p(-rest) - rest * math.log(rest) + rest * math.log(d - 1)
+
+
+class TestIsotropicRoof:
+    def test_qubit_case_is_qubit_R(self):
+        for F in np.linspace(0.5, 1.0, 101)[1:-1].tolist():
+            assert isotropic(2, F)[0, 1] == pytest.approx(F - 0.5, abs=1e-16)
+            assert abs(isotropic_roof(2, F) - qubit_R(F - 0.5)) <= 1e-15
+
+    @staticmethod
+    def excess(d, fraction, seed):
+        """Solver value minus eps(F) at F that far along the curved part, on a seeded orbit point."""
+        lo, hi = 1.0 / d, 4.0 * (d - 1) / d**2
+        F = lo + fraction * (hi - lo)
+        rng = np.random.default_rng([d, seed])
+        u = np.eye(d)[rng.permutation(d)] * np.exp(2j * np.pi * rng.uniform(size=d))
+        rho = DensityOperator(u @ isotropic(d, F) @ u.conj().T)
+        result = solve_R(rho, diagonal_pinching(d), SolverConfig(restarts=4, max_iters=250))
+        return result.value_R - isotropic_roof(d, F)
+
+    @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    def test_solver_on_the_curved_part(self, d):
+        for fraction in (0.2, 0.8):
+            for seed in range(2):
+                assert -1e-9 <= self.excess(d, fraction, seed) <= 1e-7, (fraction, seed)
+
+    @pytest.mark.xfail(strict=True, reason="the descent stalls here: ROADMAP items 2 and 13")
+    def test_solver_at_a_stalling_point(self):
+        assert self.excess(5, 1 / 3, 0) <= 1e-7
+
+
+# Winter & Yang (PRL 116, 120404 (2016)): the diagonal-pinching roof of omega
+# equals the roof of the maximally correlated state sum_ij omega_ij |ii><jj|
+# under the partial trace Tr_B.  Both solves minimise the same function of
+# the isometry, one through 1-dim blocks and one through the eigensolve of a
+# 3-dim block fed by three Kraus terms.
+TRACE_B3 = ReductionChannel(
+    9, (3,), tuple((0, np.kron(np.eye(3), np.eye(3)[k : k + 1])) for k in range(3))
+)
+
+
+class TestMaximallyCorrelatedState:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_pinching_roof_is_the_partial_trace_roof(self, seed):
+        omega = ginibre_density(3, np.random.default_rng([seed, 9])).matrix
+        correlated = np.zeros((9, 9), dtype=complex)
+        correlated[::4, ::4] = omega
+        cfg = SolverConfig(restarts=4, max_iters=250, max_length=9)
+        pinched = solve_R(DensityOperator(omega), diagonal_pinching(3), cfg).value_R
+        traced = solve_R(DensityOperator(correlated), TRACE_B3, cfg).value_R
+        assert abs(pinched - traced) <= 1e-8
