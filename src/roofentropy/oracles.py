@@ -50,10 +50,10 @@ def _magnitude(z) -> float:
     return mag
 
 
-def _mixing_weights(z: float) -> tuple:
-    """``mu_pm = 1/2 +- sqrt(1 - 4 min(|z|, 1/2)^2) / 2``: sum one, product ``min(|z|, 1/2)^2``."""
-    mag = min(abs(z), 0.5)
-    root = math.sqrt(max(0.0, 1.0 - 4.0 * mag * mag))
+def _mixing_weights(mag: float) -> tuple:
+    """``mu_pm = 1/2 +- sqrt(1 - 4 m^2) / 2`` with ``m = min(mag, 1/2)``: sum one, product ``m^2``."""
+    m = min(mag, 0.5)
+    root = math.sqrt(max(0.0, 1.0 - 4.0 * m * m))
     return 0.5 + 0.5 * root, 0.5 - 0.5 * root
 
 
