@@ -177,15 +177,10 @@ def _cmd_roof(ns: argparse.Namespace) -> dict:
         "tolerance": cert.tolerance,
         "passed": cert.passed,
     }
-    if result.value_H <= ZERO_ENTROPY_H:
-        zero = zero_entropy_structure(rho, channel, result, tol=tol)
-        report["zero_entropy"] = {
-            "residuals": list(zero.residuals),
-            "vector_passed": list(zero.vector_passed),
-            "passed": zero.passed,
-        }
-    else:
-        report["zero_entropy"] = None
+    report["zero_entropy"] = (
+        dataclasses.asdict(zero_entropy_structure(rho, channel, result, tol=tol))
+        if result.value_H <= ZERO_ENTROPY_H else None
+    )
     return report
 
 
@@ -246,24 +241,12 @@ def _cmd_accinfo(ns: argparse.Namespace) -> dict:
     cfg = _solver_config(ns)
     bracket = benatti_bracket(rho, projections, cfg, tol=tol, **_samples(ns, "measurement_samples"))
     hc = holevo_check(rho, bracket.roof, tol)
+    fields = dataclasses.fields(bracket)
     return {
         "command": "accinfo",
-        "bracket": {
-            "lower": bracket.lower,
-            "upper": bracket.upper,
-            "gap": bracket.gap,
-            "holevo_slack": hc.slack,
-            "samples": bracket.samples,
-            "best_sample": bracket.best_sample,
-            "closed": bracket.closed,
-            "passed": bracket.passed,
-        },
-        "holevo": {
-            "channel_entropy": hc.channel_entropy,
-            "state_entropy": hc.state_entropy,
-            "slack": hc.slack,
-            "passed": hc.passed,
-        },
+        "bracket": {**{f.name: getattr(bracket, f.name) for f in fields if f.name != "roof"},
+                    "holevo_slack": hc.slack},
+        "holevo": dataclasses.asdict(hc),
     }
 
 
@@ -274,13 +257,14 @@ def _cmd_verify(ns: argparse.Namespace) -> dict:
 
 
 def _flatten(prefix: str, value, rows: list):
-    # A list of objects (verify's checks) expands by index; other lists elide.
+    # A list of objects (verify's checks) expands by index; other lists, and
+    # the tuples a result type's fields hold, elide.
     if isinstance(value, list) and value and all(isinstance(x, dict) for x in value):
         value = dict(enumerate(value))
     if isinstance(value, dict):
         for key in sorted(value):
             _flatten(f"{prefix}.{key}" if prefix else str(key), value[key], rows)
-    elif isinstance(value, list):
+    elif isinstance(value, (list, tuple)):
         if all(isinstance(x, (int, float, bool)) or x is None for x in value) and len(value) <= 12:
             rows.append((prefix, "[" + ", ".join(_scalar(x) for x in value) + "]"))
         else:

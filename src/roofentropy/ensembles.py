@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Sequence
 
 import numpy as np
@@ -74,8 +75,15 @@ class Ensemble:
 
 
 def pure_ensemble(weights, vectors: Sequence[np.ndarray], tol: Tolerances = DEFAULT_TOL) -> Ensemble:
-    """Ensemble of rank-one projections built from unit vectors."""
-    return Ensemble(weights, tuple(PureState(v, tol).density() for v in vectors), tol)
+    """Ensemble of rank-one projections built from unit vectors.
+
+    Members of weight in ``[-tol.value, WEIGHT_CUTOFF]`` are dropped, their
+    vectors unchecked; raises when none is left.
+    """
+    kept = [(p, v) for p, v in zip(weights, vectors) if not -tol.value <= p <= WEIGHT_CUTOFF]
+    if not kept:
+        raise ValidationError("every member fell below the weight cutoff")
+    return Ensemble([p for p, _ in kept], tuple(PureState(v, tol).density() for _, v in kept), tol)
 
 
 def convex_sum(ensemble: Ensemble) -> DensityOperator:
@@ -84,6 +92,12 @@ def convex_sum(ensemble: Ensemble) -> DensityOperator:
     for p, rho in ensemble.members():
         total += p * rho.matrix
     return DensityOperator(total, ensemble._tol)
+
+
+def _decomposition_defects(ensemble: Ensemble, rho: DensityOperator) -> tuple:
+    """Max entry of ``|sum_j p_j rho_j - rho|`` and max ``1 - purity`` over the members."""
+    return (float(np.max(np.abs(convex_sum(ensemble).matrix - rho.matrix))),
+            max(1.0 - member.purity() for member in ensemble.states))
 
 
 def shorten(ensemble: Ensemble) -> Ensemble:
@@ -122,6 +136,10 @@ def mutual_entropy(ensemble: Ensemble, channel: ReductionChannel, form: str = "h
         Holevo form is the numerically stable default.  Both validate under
         the ensemble's tolerance.  The relative form skips members of weight
         ``p`` at most the support cutoff, whose term is at most ``-p ln p``.
+        Every member has ``sigma >= p rho`` (``sigma`` the reduced mixture), so
+        an infinite term comes from the cutoff; it is evaluated again under
+        ``p`` times the tolerance, whose cutoff lies below ``sigma`` on each
+        direction where the member has more than the first cutoff's weight.
     """
     if form not in ("holevo", "relative"):
         raise ValidationError(f"unknown mutual entropy form {form!r}")
@@ -140,5 +158,8 @@ def mutual_entropy(ensemble: Ensemble, channel: ReductionChannel, form: str = "h
         if p <= tol.support:
             continue
         member = DensityOperator(reduce_state(channel, rho, tol).to_dense(), tol)
-        total += p * relative_entropy(member, sigma, tol)
+        term = relative_entropy(member, sigma, tol)
+        if term == math.inf:
+            term = relative_entropy(member, sigma, Tolerances(tol.value * p))
+        total += p * term
     return total

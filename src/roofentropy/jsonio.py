@@ -8,6 +8,8 @@ integer fields take only JSON integers, and booleans are not numbers.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from .channels import ReductionChannel, block_compression, commutative_channel, diagonal_pinching
@@ -63,23 +65,19 @@ def _decode_projections(data, what="projections") -> list:
     return [decode_matrix(p, f"{what}[{i}]") for i, p in enumerate(data)]
 
 
-def encode_complex(z) -> list:
-    z = complex(z)
-    return [z.real, z.imag]
+def encode_matrix(a) -> list:
+    """An array of any shape as nested lists with an ``[re, im]`` pair per entry."""
+    a = np.asarray(a, dtype=complex)
+    return np.stack((a.real, a.imag), -1).tolist()
 
 
-def encode_vector(v) -> list:
-    return [encode_complex(z) for z in np.asarray(v, dtype=complex)]
+encode_vector = encode_matrix
 
 
 def decode_vector(data, what="vector") -> np.ndarray:
     if not isinstance(data, list) or not data:
         raise ValidationError(f"{what} must be a nonempty array")
     return np.array([_decode_scalar(x, what) for x in data], dtype=complex)
-
-
-def encode_matrix(m) -> list:
-    return [encode_vector(row) for row in np.asarray(m, dtype=complex)]
 
 
 def decode_matrix(data, what="matrix") -> np.ndarray:
@@ -170,15 +168,11 @@ def block_density_to_json(bd) -> dict:
 
 
 def roof_result_to_json(result: RoofResult) -> dict:
+    """Every field of ``result``, with its ensemble and restart values in JSON form."""
     return {
-        "value_R": result.value_R,
-        "value_H": result.value_H,
-        "reduced_entropy": result.reduced_entropy,
+        **{f.name: getattr(result, f.name) for f in dataclasses.fields(result)},
         "optimal_ensemble": ensemble_to_json(result.optimal_ensemble),
         "restart_values": list(result.restart_values),
-        "best_restart": result.best_restart,
-        "converged": result.converged,
-        "iterations": result.iterations,
     }
 
 

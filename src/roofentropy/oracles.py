@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .channels import block_compression
-from .ensembles import WEIGHT_CUTOFF, Ensemble, convex_sum, pure_ensemble
+from .ensembles import Ensemble, _decomposition_defects, pure_ensemble
 from .states import (
     DEFAULT_TOL,
     DensityOperator,
@@ -50,10 +50,15 @@ def _magnitude(z) -> float:
     return mag
 
 
-def _mixing_weights(mag: float) -> tuple:
-    """``mu_pm = 1/2 +- sqrt(1 - 4 m^2) / 2`` with ``m = min(mag, 1/2)``: sum one, product ``m^2``."""
+def _radicand(mag: float) -> float:
+    """``u = 1 - 4 m^2`` with ``m = min(mag, 1/2)``, squared as ``m * m`` (correctly rounded)."""
     m = min(mag, 0.5)
-    root = math.sqrt(max(0.0, 1.0 - 4.0 * m * m))
+    return max(0.0, 1.0 - 4.0 * m * m)
+
+
+def _mixing_weights(mag: float) -> tuple:
+    """``mu_pm = 1/2 +- sqrt(u) / 2`` with ``u = _radicand(mag)``: sum one, product ``m^2``."""
+    root = math.sqrt(_radicand(mag))
     return 0.5 + 0.5 * root, 0.5 - 0.5 * root
 
 
@@ -84,7 +89,7 @@ def qubit_R_series(z, terms: int) -> float:
     ``1/(4N + 2) < T_N < 1/(4N + 1)``, about ``1.25e-3`` after 200 terms.
     """
     terms = _require_int("terms", terms, 1)
-    u = max(0.0, 1.0 - 4.0 * min(_magnitude(z), 0.5) ** 2)
+    u = _radicand(_magnitude(z))
     k = np.arange(1, terms + 1, dtype=float)
     return float(math.log(2.0) - np.sum(u**k / (2.0 * k * (2.0 * k - 1.0))))
 
@@ -198,76 +203,63 @@ def block_example_decomposition(
     Directions with positive overlap contribute a pair of pure states on the
     span of the eigendirection and ``psi`` whose 2x2 blocks are
     ``[[mu_pm, z], [z, mu_mp]]``; zero-overlap directions contribute their
-    eigendirection outright.  Raises on ``z > 1/2`` (domain) and whenever
-    the linear system for the weights leaves the simplex or the rebuilt
-    mixture misses the state (construction failure).
+    eigendirection outright; when ``z`` is zero, so is every overlap, and
+    ``psi`` enters alone with weight ``lam``.  Raises on ``z > 1/2`` (domain)
+    and whenever the linear system for the weights leaves the simplex or the
+    rebuilt mixture misses the state (construction failure).
     """
     rho = _coerce(rho, DensityOperator, tol)
     if math.isnan(data.mu_plus):
         raise ValidationError(f"z = {data.z!r} exceeds 1/2: no real mixing weights exist")
     psi = data.psi.vector
+    mu_p, mu_m = data.mu_plus, data.mu_minus
+    gap = mu_p - mu_m
+    # sqrt amplification: z within eps of 1/2 leaves a gap of ~2*sqrt(eps)
+    degenerate = gap < 1e-6
+    sp, sm = math.sqrt(mu_p), math.sqrt(mu_m)
     weights: list[float] = []
     vectors: list[np.ndarray] = []
-    degenerate = False
-    if data.z <= ZERO_OVERLAP:
-        for k in range(data.eigvals.size):
-            if data.eigvals[k] > WEIGHT_CUTOFF:
-                weights.append(float(data.eigvals[k]))
-                vectors.append(data.eigvecs[:, k])
-        if data.lam > WEIGHT_CUTOFF:
-            weights.append(data.lam)
-            vectors.append(psi)
-        candidate = 0.0
-    else:
-        mu_p, mu_m = data.mu_plus, data.mu_minus
-        gap = mu_p - mu_m
-        # sqrt amplification: z within eps of 1/2 leaves a gap of ~2*sqrt(eps)
-        degenerate = gap < 1e-6
-        sp, sm = math.sqrt(mu_p), math.sqrt(mu_m)
-        cross_minus = 0.0
-        for k in range(data.eigvals.size):
-            zk = float(data.overlaps[k])
-            lk = float(data.eigvals[k])
-            if zk <= ZERO_OVERLAP:
-                if lk > WEIGHT_CUTOFF:
-                    weights.append(lk)
-                    vectors.append(data.eigvecs[:, k])
-                continue
-            pair_total = zk / data.z
-            if degenerate:
-                p_plus = p_minus = lk
-            else:
-                p_plus = (lk - mu_m * pair_total) / gap
-                p_minus = (mu_p * pair_total - lk) / gap
-            if p_plus < -1e-9 or p_minus < -1e-9:
-                raise ValidationError(
-                    "construction failure: direction "
-                    f"{k} solved to weights ({p_plus:.3e}, {p_minus:.3e}) with "
-                    f"lambda_k={lk:.6e}, z_k={zk:.6e}, z={data.z:.6e}"
-                )
-            p_plus, p_minus = max(p_plus, 0.0), max(p_minus, 0.0)
-            cross_minus += p_plus * mu_m + p_minus * mu_p
-            vec_k = data.eigvecs[:, k]
-            if p_plus > WEIGHT_CUTOFF:
-                weights.append(p_plus)
-                vectors.append(sp * vec_k + sm * psi)
-            if p_minus > WEIGHT_CUTOFF:
-                weights.append(p_minus)
-                vectors.append(sm * vec_k + sp * psi)
-        if not degenerate and abs(cross_minus - data.lam) > 1e-8:
+    cross_minus = 0.0
+    for k in range(data.eigvals.size):
+        zk = float(data.overlaps[k])
+        lk = float(data.eigvals[k])
+        vec_k = data.eigvecs[:, k]
+        if zk <= ZERO_OVERLAP:
+            weights.append(lk)
+            vectors.append(vec_k)
+            continue
+        pair_total = zk / data.z
+        if degenerate:
+            p_plus = p_minus = lk
+        else:
+            p_plus = (lk - mu_m * pair_total) / gap
+            p_minus = (mu_p * pair_total - lk) / gap
+        if p_plus < -1e-9 or p_minus < -1e-9:
             raise ValidationError(
-                f"construction failure: psi-coefficient {cross_minus:.6e} "
-                f"differs from lam {data.lam:.6e}; the state has zero-overlap "
-                "directions carrying weight"
+                "construction failure: direction "
+                f"{k} solved to weights ({p_plus:.3e}, {p_minus:.3e}) with "
+                f"lambda_k={lk:.6e}, z_k={zk:.6e}, z={data.z:.6e}"
             )
-        candidate = binary_entropy(mu_p)
-    if not weights:
-        raise ValidationError("construction failure: no members survived")
+        p_plus, p_minus = max(p_plus, 0.0), max(p_minus, 0.0)
+        cross_minus += p_plus * mu_m + p_minus * mu_p
+        weights += [p_plus, p_minus]
+        vectors += [sp * vec_k + sm * psi, sm * vec_k + sp * psi]
+    coupled = data.z > ZERO_OVERLAP
+    if not coupled:
+        weights.append(data.lam)
+        vectors.append(psi)
+    elif not degenerate and abs(cross_minus - data.lam) > 1e-8:
+        raise ValidationError(
+            f"construction failure: psi-coefficient {cross_minus:.6e} "
+            f"differs from lam {data.lam:.6e}; the state has zero-overlap "
+            "directions carrying weight"
+        )
     ensemble = pure_ensemble(weights, vectors, tol)
-    rebuilt = convex_sum(ensemble)
-    defect = float(np.max(np.abs(rebuilt.matrix - rho.matrix)))
+    defect, _ = _decomposition_defects(ensemble, rho)
     if defect > 1e-9:
         raise ValidationError(
             f"construction failure: rebuilt mixture misses the state by {defect:.3e}"
         )
+    # An uncoupled state's candidate is 0.0, not binary_entropy(1.0), which is -0.0.
+    candidate = binary_entropy(mu_p) if coupled else 0.0
     return BlockDecomposition(ensemble=ensemble, candidate=candidate, degenerate=degenerate)

@@ -39,7 +39,7 @@ import numpy as np
 from numpy.linalg._umath_linalg import qr_r_raw as _qr_r_raw, qr_reduced as _qr_reduced
 
 from .channels import ReductionChannel, block_entropy, reduce_state
-from .ensembles import WEIGHT_CUTOFF, Ensemble, pure_ensemble, shorten
+from .ensembles import Ensemble, convex_sum, pure_ensemble, shorten
 from .states import (
     DEFAULT_TOL,
     DensityOperator,
@@ -154,8 +154,9 @@ def decomposition_from_isometry(
 
     Row ``j`` of the isometry mixes the scaled eigenvectors of ``rho`` into
     the unnormalized vector whose norm squared is the member weight.  The
-    isometry must have exactly ``rank(rho)`` orthonormal columns; members
-    with weight at or below ``ensembles.WEIGHT_CUTOFF`` are dropped.
+    isometry must have exactly ``rank(rho)`` orthonormal columns;
+    :func:`~roofentropy.ensembles.pure_ensemble` drops the members of
+    negligible weight.
     """
     rho = _coerce(rho, DensityOperator, tol)
     v = np.asarray(isometry, dtype=complex)
@@ -175,10 +176,9 @@ def decomposition_from_isometry(
         raise ValidationError(f"need at least rank many rows, got {m} < {r}")
     phis = v @ (vecs * np.sqrt(lam)).T  # row j is the j-th unnormalized vector
     weights = np.einsum("jk,jk->j", phis, phis.conj()).real
-    kept = [(p, phis[j] / math.sqrt(p)) for j, p in enumerate(weights) if p > WEIGHT_CUTOFF]
-    if not kept:
-        raise ValidationError("every member fell below the weight cutoff")
-    return pure_ensemble([p for p, _ in kept], [u for _, u in kept], tol)
+    # Each row over its norm; a zero row stays as it is.
+    units = np.divide(phis, np.sqrt(weights)[:, None], out=phis, where=weights[:, None] > 0.0)
+    return pure_ensemble(weights, units, tol)
 
 
 def roof_objective(ensemble: Ensemble, channel: ReductionChannel) -> float:
@@ -667,14 +667,11 @@ def affinity_certificate(
     """
     samples = _require_int("samples", samples, 1)
     cfg = config if config is not None else SolverConfig()
-    members = list(result.optimal_ensemble.members())
-    reduced = [block_entropy(reduce_state(channel, rho)) for _, rho in members]
+    states = result.optimal_ensemble.states
+    reduced = [block_entropy(reduce_state(channel, rho)) for rho in states]
     rng = np.random.default_rng([cfg.seed, 7919])
-    weights = [rng.dirichlet(np.ones(len(members))) for _ in range(samples)]
-    mixtures = [
-        DensityOperator(sum(qj * rho.matrix for qj, (_, rho) in zip(q, members)))
-        for q in weights
-    ]
+    weights = [rng.dirichlet(np.ones(len(states))) for _ in range(samples)]
+    mixtures = [convex_sum(Ensemble(q, states)) for q in weights]
     predictions = [float(np.dot(q, reduced)) for q in weights]
     resolved = [res.value_R for res in _solve_states(mixtures, channel, cfg)]
     discrepancies = [value - prediction for value, prediction in zip(resolved, predictions)]
@@ -699,14 +696,11 @@ class ZeroEntropyReport:
     says the vector lies inside a single block range.  The report may fail
     honestly: a vanishing gap does not force block alignment for every
     state, so callers get per-vector flags rather than an exception.
-    A vector passes when its residual is at most ``tolerance``
-    (``ZERO_STRUCTURE_TOL``).
+    A vector passes when its residual is at most ``ZERO_STRUCTURE_TOL``.
     """
 
     residuals: tuple
     vector_passed: tuple
-    generator_count: int
-    tolerance: float
     passed: bool
 
 
@@ -741,7 +735,5 @@ def zero_entropy_structure(
     return ZeroEntropyReport(
         residuals=tuple(residuals),
         vector_passed=flags,
-        generator_count=len(generators),
-        tolerance=ZERO_STRUCTURE_TOL,
         passed=all(flags),
     )

@@ -21,7 +21,7 @@ from .channels import (
     diagonal_pinching,
     reduce_state,
 )
-from .ensembles import Ensemble, convex_sum, mutual_entropy, shorten
+from .ensembles import Ensemble, _decomposition_defects, convex_sum, mutual_entropy, shorten
 from .jsonio import roof_result_to_json, round_floats
 from .oracles import (
     block_example_analyze,
@@ -224,10 +224,9 @@ def _check_solver_feasibility(rng, n, cfg):
         res = solve_R(rho, ch, cfg)
         worst_r = max(worst_r, res.value_R - res.reduced_entropy)
         worst_h = min(worst_h, res.value_H)
-        rebuilt = convex_sum(res.optimal_ensemble)
-        worst_recon = max(worst_recon, float(np.max(np.abs(rebuilt.matrix - rho.matrix))))
-        for _, member in res.optimal_ensemble.members():
-            worst_purity = max(worst_purity, 1.0 - member.purity())
+        recon, purity = _decomposition_defects(res.optimal_ensemble, rho)
+        worst_recon = max(worst_recon, recon)
+        worst_purity = max(worst_purity, purity)
     passed = (
         worst_r <= 1e-9 and worst_h >= -1e-8 and worst_recon <= 1e-7 and worst_purity <= 1e-8
     )
@@ -338,10 +337,9 @@ def _check_block_example(rng, n, cfg):
     for _ in range(2 * n):
         dim = int(rng.integers(3, 5))
         rho, psi, data, dec = _feasible_block_instance(rng, dim)
-        rebuilt = convex_sum(dec.ensemble)
-        worst_recon = max(worst_recon, float(np.max(np.abs(rebuilt.matrix - rho.matrix))))
-        for _, member in dec.ensemble.members():
-            worst_purity = max(worst_purity, 1.0 - member.purity())
+        recon, purity = _decomposition_defects(dec.ensemble, rho)
+        worst_recon = max(worst_recon, recon)
+        worst_purity = max(worst_purity, purity)
         res = solve_R(rho, block_compression(psi), cfg)
         worst_gap = max(worst_gap, res.value_R - dec.candidate)
     passed = worst_recon <= 1e-9 and worst_purity <= 1e-9 and worst_gap <= 1e-4

@@ -91,6 +91,14 @@ def run_main(capsys, *argv):
     return status, captured.out, captured.err
 
 
+def _strict_json(text):
+    """``json.loads`` that rejects ``NaN`` and ``Infinity``, which are not JSON."""
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def run_json(capsys, *argv):
     status, out, err = run_main(capsys, *argv)
     assert status == 0, err
@@ -235,11 +243,7 @@ class TestMutualCommand:
         )
         status, out, err = run_main(capsys, "mutual", "--ensemble", ensemble, "--channel", DIAG2)
         assert status == 0, err
-
-        def reject(token):
-            raise ValueError(f"{token} is not JSON")
-
-        report = json.loads(out, parse_constant=reject)
+        report = _strict_json(out)
         assert abs(report["form_difference"]) <= 1e-10
 
 
@@ -595,9 +599,159 @@ class TestRendering:
         failed = [v for k, v in rows.items() if k.endswith(".passed") and v == "false"]
         assert len(failed) == int(rows["counts.failed"]) > 0
 
+    def test_table_renders_tuple_fields_as_lists(self, capsys):
+        # the zero_entropy section is the fields of ZeroEntropyReport, which are tuples
+        status, out, _ = run_main(
+            capsys, "roof", "--state", "[[1,0],[0,0]]", "--channel", DIAG2, "--restarts", "2",
+            "--max-iters", "30", "--samples", "1", "--format", "table",
+        )
+        rows = dict(line.split(None, 1) for line in out.splitlines())
+        assert status == 0
+        assert rows["zero_entropy.residuals"] == "[0]"
+        assert rows["zero_entropy.vector_passed"] == "[true]"
+
     def test_table_flattens_nested_keys(self, capsys):
         _, out, _ = run_main(
             capsys, "qubit-oracle", "--z", "0.3", "--terms", "20", "--format", "table"
         )
         assert "series.terms" in out
         assert "series.value" in out
+
+
+def _key_paths(obj, prefix=""):
+    """Dotted path of every key in a report; a list of objects goes by index."""
+    if isinstance(obj, list) and obj and all(isinstance(x, dict) for x in obj):
+        obj = dict(enumerate(obj))
+    if not isinstance(obj, dict):
+        return set()
+    paths = set()
+    for key, value in obj.items():
+        paths |= {f"{prefix}{key}"} | _key_paths(value, f"{prefix}{key}.")
+    return paths
+
+
+def _paths(*groups):
+    """``"a: b c"`` is ``a``, ``a.b`` and ``a.c``; ``"a"`` is ``a`` alone."""
+    out = set()
+    for group in groups:
+        head, _, tail = group.partition(":")
+        out |= {head} | {f"{head}.{key}" for key in tail.split()}
+    return out
+
+
+VERIFY_DETAILS = {
+    "entropy_bounds": "max_excess_over_log_dim min_entropy",
+    "entropy_unitary_invariance": "max_deviation",
+    "klein_inequality": "min_relative_entropy",
+    "joint_entropy_identity": "max_deviation",
+    "mutual_entropy_nonnegative": "min_mutual_entropy",
+    "mutual_entropy_forms_agree": "max_form_difference",
+    "shorten_preserves_mixture": "max_mixture_drift",
+    "reduction_blocks_valid": "max_trace_defect min_block_eigenvalue",
+    "reduction_linear": "max_linearity_defect",
+    "compression_entropy_identity": "max_identity_defect",
+    "solver_matches_qubit_oracle": "max_oracle_error",
+    "pure_states_have_zero_H": "max_pure_H",
+    "solver_result_feasible":
+        "max_R_minus_reduced_entropy max_purity_defect max_reconstruction_error min_H",
+    "roof_concave_in_state": "min_concavity_slack",
+    "roof_monotone_under_refinement": "min_refinement_gain",
+    "solver_deterministic": "bytes",
+    "qubit_series_consistency": "error_shrinks_with_terms max_converged_error monotone",
+    "qubit_roof_fiber_convexity": "max_fiber_spread min_second_difference",
+    "block_example_roundtrip":
+        "max_purity_defect max_reconstruction_error max_solver_excess_over_candidate",
+    "subalgebra_ensemble_mixes_back": "max_mixture_error",
+    "sampled_info_below_H": "max_lower_minus_upper",
+    "commuting_bracket_closes": "max_bracket_width",
+    "holevo_bound": "max_H_minus_S",
+    "roof_affine_on_optimal_face": "max_discrepancy",
+    "zero_H_eigenvector_structure": "max_aligned_residual unaligned_flagged",
+}
+ROOF_KEYS = _paths(
+    "command", "zero_entropy",
+    "result: value_R value_H reduced_entropy optimal_ensemble restart_values best_restart"
+    " converged iterations",
+    "result.optimal_ensemble: weights states",
+    "affinity: max_discrepancy samples tolerance passed",
+)
+MUTUAL_KEYS = _paths("command", "length", "mutual_entropy", "relative_form", "form_difference")
+BLOCK_KEYS = _paths(
+    "command",
+    "analysis: distinguished_weight coupling eigenvalues overlaps mu_plus mu_minus",
+    "decomposition: candidate degenerate length ensemble",
+    "decomposition.ensemble: weights states",
+)
+SMALL_BUDGET = ("--restarts", "2", "--max-iters", "30")
+PURE13 = "[[0.5,0,0.5],[0,0,0],[0.5,0,0.5]]"
+
+
+def _mutual_case(weights, second):
+    ensemble = json.dumps({"weights": weights, "states": [[[1, 0], [0, 0]], second]})
+    return ("mutual", "--ensemble", ensemble, "--channel", DIAG2)
+
+
+# name: (argv, every key path of its report)
+REPORT_CASES = {
+    "entropy": (("entropy", "--state", RHO), _paths("command", "dim", "entropy", "spectrum",
+                                                    "purity")),
+    "reduce": (("reduce", "--state", RHO, "--channel", DIAG2),
+               _paths("command", "block_dims", "blocks", "probabilities", "entropy")),
+    "mutual": (_mutual_case([0.5, 0.5], [[0, 0], [0, 1]]), MUTUAL_KEYS),
+    "mutual-zero-weight": (_mutual_case([1.0, 0.0], [[0, 0], [0, 1]]), MUTUAL_KEYS),
+    "mutual-mixture-at-cutoff-1": (
+        _mutual_case([0.99999, 0.00001], [[0.999999, 0], [0, 0.000001]]), MUTUAL_KEYS),
+    "mutual-mixture-at-cutoff-2": (
+        _mutual_case([0.999, 0.001], [[0.99999999, 0], [0, 1e-8]]), MUTUAL_KEYS),
+    "roof": (("roof", "--state", RHO, "--channel", DIAG2, *SMALL_BUDGET, "--samples", "2"),
+             ROOF_KEYS),
+    "roof-pure": (("roof", "--state", "[[1,0],[0,0]]", "--channel", DIAG2, *SMALL_BUDGET,
+                   "--samples", "2"),
+                  ROOF_KEYS | _paths("zero_entropy: residuals vector_passed passed")),
+    "qubit-oracle": (("qubit-oracle", "--z", "0.3", "--terms", "5"),
+                     _paths("command", "z", "magnitude", "value", "series: terms value difference")),
+    "qubit-oracle-half": (("qubit-oracle", "--z", "0.5"),
+                          _paths("command", "z", "magnitude", "value")),
+    "block-oracle": (("block-oracle", "--state", "[[0.4,0,0.15],[0,0.3,0.1],[0.15,0.1,0.3]]",
+                      "--psi", "[0,0,1]", "--solve", *SMALL_BUDGET),
+                     BLOCK_KEYS | _paths("solver: value_R value_H candidate_minus_solver")),
+    "block-oracle-degenerate": (("block-oracle", "--state", PURE13, "--psi", "[0,0,1]"),
+                                BLOCK_KEYS),
+    "accinfo": (("accinfo", "--state", RHO, "--projections", "[[[1,0],[0,0]],[[0,0],[0,1]]]",
+                 *SMALL_BUDGET, "--samples", "4"),
+                _paths("command",
+                       "bracket: lower upper gap holevo_slack samples best_sample closed passed",
+                       "holevo: channel_entropy state_entropy slack passed")),
+    "verify": (("verify", "--restarts", "1", "--max-iters", "20"),
+               _paths("command", "seed", "samples", "solver: seed restarts max_iters max_length",
+                      "counts: total passed failed", "checks")
+               | set().union(*(_paths(f"checks.{i}: name passed details",
+                                      f"checks.{i}.details: {details}")
+                               for i, details in enumerate(VERIFY_DETAILS.values())))),
+}
+
+
+class TestReportContract:
+    """Each report's keys are pinned, since reports are built from result types."""
+
+    def test_every_command_is_covered(self):
+        assert {argv[0] for argv, _ in REPORT_CASES.values()} == set(READ_FLAGS)
+
+    @pytest.mark.parametrize("name", REPORT_CASES)
+    def test_report_is_strict_json_with_pinned_keys(self, capsys, name):
+        argv, keys = REPORT_CASES[name]
+        status, out, err = run_main(capsys, *argv)
+        assert status in (0, 2), err
+        report = _strict_json(out)
+        assert _key_paths(report) == keys
+        if argv[0] == "verify":
+            assert [c["name"] for c in report["checks"]] == list(VERIFY_DETAILS)
+
+    def test_trace_line_keys(self, capsys, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        run_json(capsys, "roof", "--state", RHO, "--channel", DIAG2, *SMALL_BUDGET,
+                 "--samples", "1", "--trace", str(path))
+        lines = path.read_text().splitlines()
+        assert len(lines) == 2
+        for line in lines:
+            assert set(_strict_json(line)) == {"restart", "value", "iterations", "converged"}

@@ -68,6 +68,15 @@ class TestEnsemble:
         e = pure_ensemble([0.5, 0.5], [np.array([1.0, 0]), np.array([0, 1.0])])
         assert np.allclose(convex_sum(e).matrix, np.eye(2) / 2)
 
+    def test_pure_ensemble_drops_negligible_members(self):
+        # the dropped member's vector is not a unit vector, and is never checked
+        e = pure_ensemble([1.0 - 1e-14, 1e-14], [np.array([1.0, 0]), np.zeros(2)])
+        assert len(e) == 1 and e.weights.tolist() == [1.0 - 1e-14]
+        with pytest.raises(ValidationError, match="every member fell below the weight cutoff"):
+            pure_ensemble([1e-14, 0.0], [np.array([1.0, 0]), np.array([0, 1.0])])
+        with pytest.raises(ValidationError, match="negative weight"):
+            pure_ensemble([1.5, -0.5], [np.array([1.0, 0]), np.array([0, 1.0])])
+
 
 class TestConvexSum:
     def test_orthogonal_halves(self):
@@ -141,6 +150,19 @@ class TestMutualEntropy:
             relative = mutual_entropy(e, ch, "relative")
             assert holevo == pytest.approx(relative, abs=1e-10)
             assert holevo >= -1e-12
+
+    @pytest.mark.parametrize("weights, tail, holevo", [
+        ((0.99999, 0.00001), 1e-6, 1.15129260477e-10),
+        ((0.999, 0.001), 1e-8, 6.90775536169e-11),
+    ])
+    def test_relative_form_finite_where_the_mixture_meets_the_cutoff(self, weights, tail, holevo):
+        # The mixture's second eigenvalue is 1e-11, below the 1e-10 support
+        # cutoff, while the second member carries more than the cutoff there.
+        e = Ensemble(np.array(weights), (DensityOperator(np.diag([1.0, 0.0])),
+                                         DensityOperator(np.diag([1.0 - tail, tail]))))
+        ch = diagonal_pinching(2)
+        assert mutual_entropy(e, ch, "holevo") == pytest.approx(holevo, rel=1e-11)
+        assert abs(mutual_entropy(e, ch, "relative") - holevo) <= 1e-12
 
     def test_identical_members_carry_nothing(self):
         rho = DensityOperator(np.eye(2) / 2)

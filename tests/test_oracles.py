@@ -116,6 +116,14 @@ class TestMixingWeights:
                 assert mag * mag != mag**2
                 assert all(abs(g - w) <= np.spacing(0.5) for g, w in zip(got, want))
 
+    def test_series_takes_the_closed_form_radicand(self):
+        # u = 1 - 4 m^2 squared as ``m * m``, the radicand of _qubit_weight_reference
+        for z in WEIGHT_GRID:
+            mag = min(z, 0.5)
+            u = max(0.0, 1.0 - 4.0 * mag * mag)
+            k = np.arange(1.0, 3.0)
+            assert qubit_R_series(z, 2) == float(LN2 - np.sum(u**k / (2.0 * k * (2.0 * k - 1.0))))
+
     def test_defining_identities_hold_to_rounding(self):
         for z in WEIGHT_GRID:
             plus, minus = _mixing_weights(z)
