@@ -2,10 +2,14 @@
 
 Every length-``m`` decomposition of a rank-``r`` density operator into
 unnormalized pure pieces arises from an ``m x r`` column isometry ``V``
-applied to the square-root-scaled eigenvectors of the state.  The solver
-searches that isometry manifold with multi-start descent along the
-forward-difference gradient of the objective composed with the QR
-retraction, so iterates stay on the manifold.  The retraction runs LAPACK's
+applied to the square-root-scaled eigenvectors of the state; by default
+``m = min(r + 2, n²)``.  The solver searches that isometry manifold with
+multi-start descent along the forward-difference gradient of the objective
+composed with the QR retraction, so iterates stay on the manifold, then
+finishes each state's best restart with a dense BFGS in the chart
+``Z ↦ _retract(V0 + Z)``, driven by the evaluator's analytic
+value-and-gradient kernel, and prunes the members too light to resolve.
+The finish accepts only decreases.  The retraction runs LAPACK's
 QR on stacks the solver owns (its gradient copies, line-search candidates
 and starts), reads only R's diagonal and writes Q over its input, so it
 allocates only per-matrix vectors.  The restarts run in lockstep as one
@@ -90,6 +94,13 @@ STEP_CAP = 1.0
 # steps in a row each gain less than VALUE_TOL.
 STEP_TOL = 1e-10
 VALUE_TOL = 1e-9
+# A gradient of smaller norm counts as zero: the restart, or the finish, stops.
+ZERO_GRADIENT = 1e-13
+# The finish stops when an accepted step gains less than FINISH_TOL; pruning
+# its negligible members may raise the value by at most as much.
+FINISH_TOL = 1e-12
+ARMIJO = 1e-4       # sufficient-decrease fraction of the finish's line search
+BACKTRACKS = 30     # most step halvings per line search of the finish
 AFFINITY_TOL = 1e-4        # most discrepancy an affinity sample may show
 ZERO_ENTROPY_H = 1e-6      # value_H at or below which H counts as zero
 ZERO_STRUCTURE_TOL = 1e-6  # most residual a block-aligned support vector may show
@@ -99,9 +110,14 @@ ZERO_STRUCTURE_TOL = 1e-6  # most residual a block-aligned support vector may sh
 class SolverConfig:
     """Search-budget knobs for :func:`solve_R`.
 
-    ``max_length`` defaults to the square of the input dimension, which is
-    enough members for any optimal decomposition by a Caratheodory count on
-    the state space.  Restarts are deterministic given ``seed``: restart 0
+    ``max_length`` caps the members of a decomposition; it must be at least
+    the state's rank r.  When it is None, a state of rank r is decomposed
+    into ``min(r + 2, n²)`` members, n the input dimension: n² members
+    suffice for any optimal decomposition by a Caratheodory count, and the
+    largest optimal decomposition the checks know, on Terhal and
+    Vollbrecht's face states, has r + 1.  ``max_iters`` caps both the
+    iterations of each restart's descent and the steps of the BFGS finish.
+    Restarts are deterministic given ``seed``: restart 0
     mixes nothing (the eigen-ensemble), restart 1 applies a discrete Fourier
     mixing, and later restarts draw Haar-like random isometries.
     """
@@ -124,8 +140,10 @@ class RoofResult:
 
     ``value_H = reduced_entropy - value_R`` by construction, so it is the
     mutual entropy of the optimal ensemble up to solver tolerance.
-    ``converged`` and ``iterations`` belong to ``best_restart``, the winning
-    restart, not to the whole solve.
+    ``restart_values`` are the descent's values per restart and ``value_R``
+    the finished value, at most their minimum.  ``converged`` and
+    ``iterations`` belong to the descent of ``best_restart``, the winning
+    restart, not to the whole solve or the finish.
     """
 
     value_R: float
@@ -248,6 +266,30 @@ def _pair_entropy(g00: np.ndarray, g11: np.ndarray, g01: np.ndarray, out=None) -
     _xlnx(work, out=work, scratch=radius)
     _xlnx(mean, out=mean, scratch=radius)
     return np.add(work, mean, out=radius)
+
+
+def _log_support(x: np.ndarray) -> np.ndarray:
+    """ln x where x > 0 and 0 elsewhere: a log taken on the support."""
+    return np.log(x, out=np.zeros_like(x), where=x > 0.0)
+
+
+def _pair_log(g00: np.ndarray, g11: np.ndarray, g01: np.ndarray) -> tuple:
+    """``(α, β)`` with ``ln G = αI + βG`` on the support of each 2x2 Gram of ``_pair_entropy``.
+
+    From the eigenvalues ``low, high = mean ∓ radius``: at full rank
+    ``β = ln(high / low) / (high − low)``, or ``1 / low`` where they
+    coincide, and ``α = ln low − β·low``; at rank one ``ln G = (ln high /
+    high)·G``, and at rank zero both are 0.
+    """
+    mean, radius = 0.5 * (g00 + g11), np.hypot(0.5 * (g00 - g11), np.abs(g01))
+    low, high = mean - radius, mean + radius
+    full = low > 0.0
+    low = np.where(full, low, 1.0)
+    spread = np.where(radius > 0.0, 2.0 * radius, 1.0)
+    beta = np.where(radius > 0.0, np.log1p(2.0 * radius / low) / spread, 1.0 / low)
+    alpha = np.log(low) - beta * low
+    high = np.where(high > 0.0, high, 1.0)
+    return np.where(full, alpha, 0.0), np.where(full, beta, np.log(high) / high)
 
 
 class _Evaluator:
@@ -386,6 +428,60 @@ class _Evaluator:
                         out=values[at : at + size])
         return values
 
+    def value_and_gradient(self, a: np.ndarray, state: int) -> tuple:
+        """Objective and chart gradient at points ``a`` = V0 + Z of one state, shape (batch, m, r).
+
+        Returns ``(values, grads, q)``: the objective of ``q = _retract(a)``,
+        equal to ``objective_many``'s up to rounding, and its gradient in
+        ``a``, ``∂f/∂Re a + i ∂f/∂Im a``.  Member ``φ = q_j·root`` has the
+        gradient ``2·u(φ)``, where ``u(φ) = −Σ_b Σ_{k∈b} K_k† ln X_b(φ) K_k φ
+        + ln‖φ‖²·φ`` and ``X_b(φ) = Σ_{k∈b} K_k φφ† K_k†``, logs taken on the
+        support.  With ``B`` the block's columns ``K_k φ``, ``ln X_b B =
+        B ln(BᴴB)``: norm blocks take the log of their scalar norm, two-term
+        blocks their 2x2 Gram's log in closed form and larger Gram blocks
+        batched ``eigh``.  ``G = 2·U·rootᴴ`` is pulled back through the QR
+        retraction's adjoint, ``[q·ρ†(qᴴG) + (I − qqᴴ)G]·R⁻ᴴ`` with ``R =
+        qᴴa`` and ``ρ†(B) = tril(B, −1) − tril(Bᴴ, −1) + i·Im diag B``.  The
+        arrays are new; ``a`` is left unchanged.
+        """
+        root = self.roots[state]
+        q = _retract(np.array(a, dtype=complex))
+        phi = q @ root
+        k = phi @ self.kraus_t
+        nu = k.real**2 + k.imag**2
+        w = np.zeros_like(k)  # ln X_b K_k φ, per Kraus row
+        values = np.zeros(len(a))
+        for s, width in self.norm_segments:
+            x = nu[..., s : s + width].sum(axis=-1)
+            values += _xlnx(x).sum(axis=-1)
+            w[..., s : s + width] = _log_support(x)[..., None] * k[..., s : s + width]
+        for s, _, d in self.pair_specs:
+            b0, b1 = k[..., s : s + d], k[..., s + d : s + 2 * d]
+            g00, g11 = nu[..., s : s + d].sum(axis=-1), nu[..., s + d : s + 2 * d].sum(axis=-1)
+            g01 = (b0.conj() * b1).sum(axis=-1)
+            values += _pair_entropy(g00, g11, g01).sum(axis=-1)
+            alpha, beta = (c[..., None] for c in _pair_log(g00, g11, g01))
+            g00, g11, g01 = g00[..., None], g11[..., None], g01[..., None]
+            w[..., s : s + d] = alpha * b0 + beta * (g00 * b0 + g01.conj() * b1)
+            w[..., s + d : s + 2 * d] = alpha * b1 + beta * (g01 * b0 + g11 * b1)
+        for s, t, d in self.gram_specs:
+            b = k[..., s : s + t * d].reshape(k.shape[:-1] + (t, d))
+            lam, vecs = np.linalg.eigh(b.conj() @ np.swapaxes(b, -1, -2))
+            values += _xlnx(lam).sum(axis=(-1, -2))
+            log = (vecs * _log_support(lam)[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
+            w[..., s : s + t * d] = (np.swapaxes(log, -1, -2) @ b).reshape(k.shape[:-1] + (t * d,))
+        p = (phi.real**2 + phi.imag**2).sum(axis=-1)
+        values -= _xlnx(p).sum(axis=-1)
+        u = _log_support(p)[..., None] * phi - w @ self.kraus_t.conj().T
+        g = 2.0 * u @ root.conj().T
+        qh = np.swapaxes(q.conj(), -1, -2)
+        inner = qh @ g
+        rho = np.tril(inner - np.swapaxes(inner.conj(), -1, -2), -1)
+        rho += 1j * np.eye(inner.shape[-1]) * inner.imag
+        m = q @ (rho - inner) + g
+        grads = np.swapaxes(np.linalg.solve(qh @ a, np.swapaxes(m.conj(), -1, -2)).conj(), -1, -2)
+        return values, grads, q
+
     def _abs2(self, name: str, z: np.ndarray) -> np.ndarray:
         """``z.real**2 + z.imag**2`` in work array ``name``.
 
@@ -498,7 +594,7 @@ def _descend(ev: _Evaluator, starts: np.ndarray, owners: np.ndarray, cfg: Solver
         if live.size == 0:
             break
         grad = _fd_gradient(ev, v[live], owners[live], f[live])
-        zero = np.linalg.norm(grad.reshape(len(grad), -1), axis=1) < 1e-13
+        zero = np.linalg.norm(grad.reshape(len(grad), -1), axis=1) < ZERO_GRADIENT
         idx, grad = live[~zero], grad[~zero]
         pending = np.arange(idx.size)
         for rungs in (ladder[:FIRST_RUNGS], ladder[FIRST_RUNGS:]):
@@ -528,6 +624,82 @@ def _descend(ev: _Evaluator, starts: np.ndarray, owners: np.ndarray, cfg: Solver
         iterations[ended] = it
         live = idx[~done]
     return f, v, converged, iterations
+
+
+def _finish(ev: _Evaluator, state: int, v0: np.ndarray, f0: float, cfg: SolverConfig,
+            tol: Tolerances) -> tuple:
+    """Dense BFGS from the descent's best isometry ``v0``, then pruning; ``(value, isometry)``.
+
+    Works in the chart ``Z ↦ _retract(v0 + Z)`` on the 2·m·r real
+    parameters of ``Z``, with ``value_and_gradient``'s analytic gradient.
+    The inverse Hessian starts as the identity, scaled after the first step,
+    and restarts from it when its direction does not descend.  The line
+    search halves from the unit step until a value is below the current one
+    by ``ARMIJO`` of the predicted decrease, and only such decreases are
+    accepted.  The finish stops after ``cfg.max_iters`` steps, when a step
+    gains less than ``FINISH_TOL``, when no step decreases, or at a zero
+    gradient.  Rows whose member weight is below the state's ``tol.value``
+    (the cutoff ``_clean_rank`` puts on eigenvalues) are then zeroed and the
+    isometry retracted again, if that raises the value by at most
+    ``FINISH_TOL``: a member that light is below what the finish resolves.
+    ``objective_many`` scores each outcome, which replaces ``(f0, v0)`` only
+    if its value is not higher, so the finish never raises a value.
+    """
+    m, r = v0.shape
+    owner = np.full(1, state)
+
+    def chart(x):
+        return v0 + (x[: m * r] + 1j * x[m * r :]).reshape(m, r)
+
+    def evaluate(x):
+        values, grads, q = ev.value_and_gradient(chart(x)[None], state)
+        return values[0], np.concatenate([grads[0].real.ravel(), grads[0].imag.ravel()]), q[0]
+
+    x = np.zeros(2 * m * r)
+    f, g, q = evaluate(x)
+    inverse = np.eye(x.size)
+    for it in range(cfg.max_iters):
+        if np.linalg.norm(g) < ZERO_GRADIENT:
+            break
+        direction = -inverse @ g
+        slope = g @ direction
+        if slope >= 0.0:
+            inverse = np.eye(x.size)
+            direction, slope = -g, -(g @ g)
+        t = 1.0
+        for _ in range(BACKTRACKS):
+            f_new, g_new, q_new = evaluate(x + t * direction)
+            if f_new < f and f_new <= f + ARMIJO * t * slope:
+                break
+            t *= 0.5
+        else:
+            break
+        s, y, gain = t * direction, g_new - g, f - f_new
+        x += s
+        f, g, q = f_new, g_new, q_new
+        if gain < FINISH_TOL:
+            break
+        sy = s @ y
+        if sy > 0.0:
+            if it == 0:
+                inverse *= sy / (y @ y)
+            hy = inverse @ y
+            inverse += ((sy + y @ hy) / sy**2) * np.outer(s, s) - (
+                np.outer(hy, s) + np.outer(s, hy)) / sy
+    f, v = f0, v0
+    f_finished = ev.objective_many(q[None], owner)[0]
+    if f_finished <= f0:
+        f, v = float(f_finished), q
+    weights = np.sum(np.abs(v @ ev.roots[state]) ** 2, axis=1)
+    small = (weights > 0.0) & (weights < tol.value)
+    if small.any() and np.count_nonzero(weights >= tol.value) >= r:
+        pruned = v.copy()
+        pruned[small] = 0.0
+        pruned = _retract(pruned)
+        f_pruned = ev.objective_many(pruned[None], owner)[0]
+        if f_pruned <= min(f + FINISH_TOL, f0):
+            f, v = float(f_pruned), pruned
+    return f, v
 
 
 def _start_isometries(m: int, r: int, cfg: SolverConfig):
@@ -564,8 +736,9 @@ def solve_R(
     -------
     RoofResult
         Restarts merge by minimum value with lowest-index tie-break, so the
-        outcome does not depend on evaluation order.  ``converged`` and
-        ``iterations`` report the winning restart.
+        outcome does not depend on evaluation order; the winner is then
+        finished by ``_finish``.  ``converged`` and ``iterations`` report
+        the winning restart's descent.
     """
     return _solve_states([rho], channel, config, tol, trace)[0]
 
@@ -574,12 +747,13 @@ def _solve_states(states, channel: ReductionChannel, config: SolverConfig | None
                   tol: Tolerances = DEFAULT_TOL, trace=None) -> list:
     """``solve_R`` of every state under one channel, in input order, bit for bit.
 
-    States of one rank descend together: a stack takes whole states, each
-    with all its restarts, while restarts x m stays within
-    ``OBJECTIVE_ROWS`` rows, and always takes at least one state.  Every
-    state gets the same starts as alone, and its restarts follow the same
-    paths, so each result is the one ``solve_R`` gives.  ``trace`` gets the
-    restart lines of each state in turn.
+    States of one rank descend together, over the same length: a stack
+    takes whole states, each with all its restarts, while restarts x m
+    stays within ``OBJECTIVE_ROWS`` rows, and always takes at least one
+    state.  Every state gets the same starts as alone, and its restarts
+    follow the same paths; each state's finish runs alone.  So each result
+    is the one ``solve_R`` gives.  ``trace`` gets the restart lines of each
+    state in turn.
     """
     states = [_coerce(rho, DensityOperator, tol) for rho in states]
     cfg = config if config is not None else SolverConfig()
@@ -588,13 +762,13 @@ def _solve_states(states, channel: ReductionChannel, config: SolverConfig | None
         if rho.dim != n:
             raise ValidationError(f"state dimension {rho.dim} != channel input {n}")
     ev = _Evaluator(states, channel, tol)
-    length = cfg.max_length if cfg.max_length is not None else n * n
-    for rank in ev.ranks:
-        if length < rank:
-            raise ValidationError(f"max_length {length} is below the state rank {rank}")
-    per_stack = max(1, OBJECTIVE_ROWS // (cfg.restarts * length))
+    top = max(ev.ranks)
+    if cfg.max_length is not None and cfg.max_length < top:
+        raise ValidationError(f"max_length {cfg.max_length} is below the state rank {top}")
     outcomes = [None] * len(states)
     for rank in sorted(set(ev.ranks)):
+        length = cfg.max_length if cfg.max_length is not None else min(rank + 2, n * n)
+        per_stack = max(1, OBJECTIVE_ROWS // (cfg.restarts * length))
         members = [i for i, rk in enumerate(ev.ranks) if rk == rank]
         starts = np.stack(_start_isometries(length, rank, cfg))
         for at in range(0, len(members), per_stack):
@@ -608,7 +782,7 @@ def _solve_states(states, channel: ReductionChannel, config: SolverConfig | None
                 outcomes[i] = (values[own].tolist(), isometries[own], flags[own].tolist(),
                                counts[own].tolist())
     results = []
-    for rho, (values, isometries, flags, counts) in zip(states, outcomes):
+    for i, (rho, (values, isometries, flags, counts)) in enumerate(zip(states, outcomes)):
         if trace is not None:
             for idx in range(cfg.restarts):
                 trace.write(
@@ -620,11 +794,12 @@ def _solve_states(states, channel: ReductionChannel, config: SolverConfig | None
                     + "\n"
                 )
         best = min(range(cfg.restarts), key=values.__getitem__)
-        ensemble = shorten(decomposition_from_isometry(rho, isometries[best], tol))
+        value, isometry = _finish(ev, i, isometries[best], values[best], cfg, tol)
+        ensemble = shorten(decomposition_from_isometry(rho, isometry, tol))
         reduced = block_entropy(reduce_state(channel, rho, tol), tol)
         results.append(RoofResult(
-            value_R=values[best],
-            value_H=reduced - values[best],
+            value_R=value,
+            value_H=reduced - value,
             reduced_entropy=reduced,
             optimal_ensemble=ensemble,
             restart_values=tuple(values),

@@ -581,9 +581,13 @@ class TestRendering:
         assert rows["affinity.passed"] == "true"
         assert rows["result.converged"] == "false"
 
-    def test_table_expands_lists_of_objects(self, capsys):
+    def test_table_expands_lists_of_objects(self, capsys, monkeypatch):
         # verify's checks are a list of objects: each shows by index, with
-        # its name, flag and details, so a failed check can be read off.
+        # its name, flag and details, so a failed check can be read off.  The
+        # last check is made to fail, so the table has a failed row to show.
+        name, _ = verify.CHECKS[-1]
+        monkeypatch.setattr(verify, "CHECKS", verify.CHECKS[:-1] + (
+            (name, lambda rng, samples, cfg: (False, {"forced": True})),))
         status, out, _ = run_main(
             capsys, "verify", "--restarts", "1", "--max-iters", "5", "--format", "table"
         )

@@ -30,6 +30,7 @@ from roofentropy import roof
 from roofentropy.jsonio import roof_result_to_json, round_floats
 from roofentropy.roof import (
     FD_STEP,
+    FINISH_TOL,
     FIRST_RUNGS,
     GEMM_WORK,
     INITIAL_STEP,
@@ -41,6 +42,7 @@ from roofentropy.roof import (
     VALUE_TOL,
     _Evaluator,
     _fd_gradient,
+    _finish,
     _pair_entropy,
     _retract,
     _row_sum,
@@ -223,6 +225,99 @@ class TestGramBlocks:
             assert np.array_equal(stacked, single)
 
 
+def kernel_cases(rng):
+    """(name, state, channel): norm-only, two-term, three-term Gram and block_compression
+    channels, each with a full-rank and a rank-deficient state."""
+    pair, mixed = gram_channels(rng)
+    channels = (
+        ("norm", pinching([np.diag([1.0, 1, 0, 0]), np.diag([0.0, 0, 1, 1])])),
+        ("pair", pair),
+        ("gram", mixed),
+        ("compression", block_compression(PureState(np.array([0.0, 0.6, 0.0, 0.8])))),
+    )
+    for name, channel in channels:
+        n = channel.input_dim
+        for rank in (n, n - 1):
+            w = haar_unitary(n, rng)[:, :rank]
+            rho = DensityOperator(w @ np.diag(rng.dirichlet(np.ones(rank))) @ w.conj().T)
+            yield f"{name}-rank{rank}", rho, channel
+
+
+class TestValueAndGradient:
+    """The analytic kernel against objective_many and the forward differences."""
+
+    def test_value_matches_objective(self, rng):
+        for name, rho, channel in kernel_cases(rng):
+            ev = _Evaluator([rho], channel, DEFAULT_TOL)
+            r = ev.ranks[0]
+            a = rng.normal(size=(5, r + 2, r)) + 1j * rng.normal(size=(5, r + 2, r))
+            keep = a.copy()
+            values, _, q = ev.value_and_gradient(a, 0)
+            assert np.array_equal(a, keep), name
+            assert np.array_equal(q, _retract(a.copy())), name
+            want = ev.objective_many(_retract(a.copy()), alone(len(a)))
+            assert np.max(np.abs(values - want)) <= 1e-12, name
+
+    def test_chart_gradient_matches_forward_differences(self, rng):
+        # At A = V0 + Z, off the manifold, the chart gradient is that of
+        # A -> f(_retract(A)), which _fd_gradient takes at A itself.
+        for name, rho, channel in kernel_cases(rng):
+            ev = _Evaluator([rho], channel, DEFAULT_TOL)
+            r = ev.ranks[0]
+            shape = (3, r + 2, r)
+            v0 = _retract(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+            a = v0 + 0.1 * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+            _, grads, _ = ev.value_and_gradient(a, 0)
+            f0 = ev.objective_many(_retract(a.copy()), alone(len(a)))
+            fd = _fd_gradient(ev, a, alone(len(a)), f0)
+            assert np.max(np.abs(grads - fd)) <= 1e-6, name
+
+
+class TestFinish:
+    def test_finish_never_raises_a_value(self, rng):
+        for name, rho, channel in kernel_cases(rng):
+            ev = _Evaluator([rho], channel, DEFAULT_TOL)
+            r = ev.ranks[0]
+            starts = np.stack(_start_isometries(r + 2, r, SolverConfig(restarts=4, seed=1)))
+            for cap in (1, 2, 400):
+                for v0 in _retract(starts.copy()):
+                    f0 = float(ev.objective_many(v0[None], alone(1))[0])
+                    value, v = _finish(ev, 0, v0, f0, SolverConfig(max_iters=cap), DEFAULT_TOL)
+                    assert value <= f0, name
+                    assert value == ev.objective_many(v[None], alone(1))[0]
+                    assert np.allclose(v.conj().T @ v, np.eye(r), atol=1e-12)
+
+    def test_finish_reaches_the_qubit_roof(self):
+        # From the eigen-ensemble, which the descent leaves above qubit_R.
+        rho = qubit(0.55, 0.2 + 0.1j)
+        ev = _Evaluator([rho], diagonal_pinching(2), DEFAULT_TOL)
+        v0 = np.eye(4, 2, dtype=complex)
+        f0 = float(ev.objective_many(v0[None], alone(1))[0])
+        value, _ = _finish(ev, 0, v0, f0, SolverConfig(), DEFAULT_TOL)
+        assert f0 - qubit_R(0.2 + 0.1j) > 1e-2
+        assert value == pytest.approx(qubit_R(0.2 + 0.1j), abs=1e-10)
+
+    def test_light_rows_are_pruned(self, rng):
+        # A third member of weight about 1e-14 beside the two of an optimal
+        # qubit decomposition: the finish zeroes its row, and the value moves
+        # by at most FINISH_TOL.
+        rho = qubit(0.5, 0.3)
+        ev = _Evaluator([rho], diagonal_pinching(2), DEFAULT_TOL)
+        v2 = np.eye(2, dtype=complex) + 0.3 * np.array([[0.0, 1.0], [-1.0, 0.0]])
+        f2 = float(ev.objective_many(_retract(v2)[None], alone(1))[0])
+        f2, v2 = _finish(ev, 0, v2, f2, SolverConfig(), DEFAULT_TOL)
+        light = 1e-7 * (rng.normal(size=(1, 2)) + 1j * rng.normal(size=(1, 2)))
+        v0 = _retract(np.vstack([v2, light]))
+        weights = np.sum(np.abs(v0 @ ev.roots[0]) ** 2, axis=1)
+        assert 0.0 < weights[2] < DEFAULT_TOL.value
+        f0 = float(ev.objective_many(v0[None], alone(1))[0])
+        value, v = _finish(ev, 0, v0, f0, SolverConfig(max_iters=1), DEFAULT_TOL)
+        assert np.all(v[2] == 0.0)
+        assert value <= f0
+        assert abs(value - f2) <= FINISH_TOL
+        assert value == pytest.approx(qubit_R(0.3), abs=1e-11)
+
+
 class TestSolveR:
     def test_diagonal_state_has_zero_R(self):
         res = solve_R(DensityOperator(np.eye(2) / 2), diagonal_pinching(2), FAST)
@@ -264,7 +359,10 @@ class TestSolveR:
         res = solve_R(qubit(0.5, 0.25), diagonal_pinching(2), FAST)
         assert len(res.restart_values) == FAST.restarts
         assert res.best_restart == int(np.argmin(res.restart_values))
-        assert res.value_R == pytest.approx(min(res.restart_values), abs=1e-15)
+        # restart_values are the descent's; value_R is the finished value.
+        assert res.value_R <= min(res.restart_values)
+        assert res.value_R == pytest.approx(
+            roof_objective(res.optimal_ensemble, diagonal_pinching(2)), abs=1e-12)
 
     def test_deterministic_to_the_byte(self):
         rho = qubit(0.55, 0.2 + 0.1j)
@@ -289,6 +387,26 @@ class TestSolveR:
                 diagonal_pinching(2),
                 SolverConfig(max_length=1, restarts=1),
             )
+
+    def test_default_length_is_rank_plus_two(self, rng, monkeypatch):
+        # (rows, rank) of every descent: min(r + 2, n^2) rows unless
+        # max_length caps them, for each rank group of a stack.
+        shapes = []
+        descend = roof._descend
+        monkeypatch.setattr(roof, "_descend", lambda ev, starts, owners, c: (
+            shapes.append(starts.shape[1:]) or descend(ev, starts, owners, c)))
+        cfg = SolverConfig(restarts=2, max_iters=5)
+        w = haar_unitary(3, rng)[:, :2]
+        rank_two = DensityOperator(w @ np.diag([0.65, 0.35]) @ w.conj().T)
+        pure = PureState(np.ones(3) / math.sqrt(3)).density()
+        solve_R(qubit(0.5, 0.3), diagonal_pinching(2), cfg)
+        solve_R(ginibre_density(5, rng), diagonal_pinching(5), cfg)
+        roof._solve_states([ginibre_density(3, rng), pure, rank_two], diagonal_pinching(3), cfg)
+        solve_R(rank_two, diagonal_pinching(3), SolverConfig(restarts=2, max_iters=5, max_length=9))
+        assert shapes == [(4, 2), (7, 5), (3, 1), (4, 2), (5, 3), (9, 2)]
+        with pytest.raises(ValidationError, match="rank 3"):
+            solve_R(ginibre_density(3, rng), diagonal_pinching(3),
+                    SolverConfig(restarts=2, max_length=2))
 
     def test_max_length_cap_respected(self):
         res = solve_R(
@@ -349,18 +467,18 @@ class TestLockstepRestarts:
 
     def test_chunked_gradient_stack_independent(self, rng):
         # At d = 5 one restart perturbs 2 * 25 * 5 = 250 isometries of 25
-        # rows, more than one evaluator block holds, so the gradient stack of
-        # 1, 3 or 4 restarts is cut into several blocks, at different places
-        # within each restart's copies.
+        # rows (max_length pinned to 25), more than one evaluator block holds,
+        # so the gradient stack of 1, 3 or 4 restarts is cut into several
+        # blocks, at different places within each restart's copies.
         g = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
         h = g @ g.conj().T
         rho = DensityOperator(h / np.trace(h).real)
         channel = pinching([np.diag([1.0, 1, 0, 0, 0]), np.diag([0.0, 0, 1, 1, 0]),
                             np.diag([0.0, 0, 0, 0, 1])])
         assert 2 * 25 * 5 > _Evaluator([rho], channel, DEFAULT_TOL).block_size(25, 5)
-        full = solve_R(rho, channel, SolverConfig(restarts=4, max_iters=6))
+        full = solve_R(rho, channel, SolverConfig(restarts=4, max_iters=6, max_length=25))
         for j in (1, 3):
-            part = solve_R(rho, channel, SolverConfig(restarts=j, max_iters=6))
+            part = solve_R(rho, channel, SolverConfig(restarts=j, max_iters=6, max_length=25))
             assert full.restart_values[:j] == part.restart_values
 
     @pytest.mark.parametrize("length", [25, 60])
@@ -447,7 +565,7 @@ class TestSameChannelStack:
     def test_stacks_split_by_row_budget_match(self, rng, monkeypatch):
         states = [ginibre_density(3, rng) for _ in range(5)]
         channel = diagonal_pinching(3)
-        cfg = SolverConfig(restarts=2, max_iters=30)
+        cfg = SolverConfig(restarts=2, max_iters=30, max_length=9)
         sizes = []
         descend = roof._descend
         monkeypatch.setattr(roof, "_descend", lambda ev, starts, owners, c: (
