@@ -21,15 +21,13 @@ they follow when that state is solved alone.
 
 The line search tries the two longest steps of its halving ladder first and
 the shorter ones only for restarts those did not improve; each stage moves
-the restarts it improves.  The objective takes a stack of any length and
-runs it in blocks of whole isometries whose products stay within
-``GEMM_WORK`` multiply-adds.  The gradient cuts its finite-difference
-copies at that same block size, so each block of copies is gathered,
-bumped, retracted and evaluated in one go, in one work array of one block;
-``OBJECTIVE_ROWS`` bounds only the lockstep stacks.  Inside a block, sums
-over short trailing axes run as whole-block adds in the order numpy's own
-reduction uses, so every value is bit for bit what ``np.sum`` and
-``np.add.reduceat`` give.
+the restarts it improves.  The objective reads only each member's Kraus
+outputs, one GEMM per run of one state's isometries, and runs a stack of any
+length in blocks of whole isometries within ``GEMM_WORK`` multiply-adds.  The
+gradient cuts its finite-difference copies at that same block size, so each
+block of copies is gathered, bumped, retracted and evaluated in one go, in
+one work array of one block; ``OBJECTIVE_ROWS`` bounds only the lockstep
+stacks.
 """
 
 from __future__ import annotations
@@ -78,16 +76,12 @@ LADDER = 8              # step-halving candidates per line search
 FIRST_RUNGS = 2
 # Most isometry rows (restarts x m) of one lockstep stack of _solve_states.
 OBJECTIVE_ROWS = 8192
-# numpy sums a trailing axis of fewer floats strictly in order (a complex
-# entry is two floats); from this length on it sums pairwise, and such axes
-# keep numpy's own reduction.
-SHORT_AXIS = 8
-# Most multiply-adds in one GEMM of objective_many, which runs its stack in
-# blocks of whole isometries within this bound (_Evaluator.block_size), as
-# _fd_gradient runs its copies, so the work arrays hold one block.  OpenBLAS
-# hands larger products to its thread pool, and with default threads that
-# hand-off stalled these thin products by milliseconds; qubit stacks stay one
-# block.
+# Most multiply-adds in one block of objective_many, at n·max(r, width) per
+# isometry row, at least the r·width of its GEMM (_Evaluator.block_size);
+# _fd_gradient cuts its copies at the same size, so the work arrays hold one
+# block.  OpenBLAS hands larger products to its thread pool, and with default
+# threads that hand-off stalled these thin products by milliseconds; qubit
+# stacks stay one block.
 GEMM_WORK = 65536
 STEP_CAP = 1.0
 # A restart stops when its step falls below STEP_TOL, or when two accepted
@@ -209,41 +203,6 @@ def roof_objective(ensemble: Ensemble, channel: ReductionChannel) -> float:
     return total
 
 
-def _row_sum(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``x.sum(axis=-1, out=out)``, bit for bit, as whole-stack adds on a short axis.
-
-    numpy sums an axis of fewer than ``SHORT_AXIS`` floats from +0.0 left to
-    right, ``((0 + x0) + x1) + ...``; one add per entry does the same over
-    the whole stack at once.
-    """
-    width = x.shape[-1]
-    if width * (2 if np.iscomplexobj(x) else 1) >= SHORT_AXIS:
-        return x.sum(axis=-1, out=out)
-    np.add(x[..., 0], 0.0, out=out)
-    for j in range(1, width):
-        np.add(out, x[..., j], out=out)
-    return out
-
-
-def _segment_sum(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``np.add.reduceat(x, [0], axis=-1)[..., 0]`` into ``out``, bit for bit.
-
-    ``reduceat`` copies a segment's first entry and adds the sum of the rest,
-    which for a short segment is taken in order: ``x0 + ((x1 + x2) + ...)``.
-    """
-    width = x.shape[-1]
-    if width >= SHORT_AXIS:
-        np.add.reduceat(x, np.zeros(1, dtype=np.intp), axis=-1, out=out[..., None])
-    elif width == 1:
-        np.copyto(out, x[..., 0])
-    else:
-        rest = x[..., 1] if width == 2 else np.add(x[..., 1], x[..., 2], out=out)
-        for j in range(3, width):
-            np.add(out, x[..., j], out=out)
-        np.add(x[..., 0], rest, out=out)
-    return out
-
-
 def _pair_entropy(g00: np.ndarray, g11: np.ndarray, g01: np.ndarray, out=None) -> np.ndarray:
     """Sum of -x ln x over the spectra of a stack of 2x2 Hermitian matrices.
 
@@ -295,14 +254,23 @@ def _pair_log(g00: np.ndarray, g11: np.ndarray, g01: np.ndarray) -> tuple:
 class _Evaluator:
     """Vectorized objective over batches of mixing isometries.
 
-    Takes states that share one channel and precomputes the scaled
-    eigenvector matrix of each (its ``root``) and one concatenated Kraus
-    matrix.  For a pure member, each output block is a small Gram form;
-    blocks fed by a single Kraus term (and all 1-dimensional blocks)
-    contribute a plain squared norm, so only blocks with several multi-row
-    Kraus terms need the Gram spectrum.  The Gram matrix has one row per
-    Kraus term of the block: 2x2 Grams take their eigenvalues in closed form
-    over the whole stack, larger ones go through a batched eigensolve.
+    Takes states that share one channel.  A state's ``root`` holds its
+    eigenvectors scaled by the square roots of their eigenvalues, so member
+    ``φ_j`` of isometry ``V`` is row j of ``V·root``; the columns of
+    ``kraus_t`` are the rows of the Kraus matrices.  Each state keeps one
+    mixer ``M = root·kraus_t``, and row j of ``a = V·M`` holds member j's
+    Kraus outputs ``K_k φ_j``, all the objective reads.  Completeness ``Σ_k
+    K_k†K_k = I`` gives ``Σ|a_j|² = ‖φ_j‖²`` to within the completeness
+    defect, at most ``COMPLETENESS_TOL``·‖φ_j‖².  The member weight is
+    ``Σ|a_j|²``, the trace of its output, so each member's entropy is that
+    of its exactly normalized output.
+
+    Blocks fed by a single Kraus term, and 1-dimensional blocks, contribute
+    a plain squared norm; a block with several multi-row terms needs the
+    spectrum of its Gram matrix, one row per term: in closed form at 2x2, by
+    a batched eigensolve beyond.  One real GEMM of ``ν = |a|²`` with the 0/1
+    matrix ``indicator`` gives every norm block's weight, the member weight
+    and the diagonal of every 2x2 Gram.
 
     Every stage of a call is computed in place in work arrays that the
     evaluator keeps and reuses across calls, each grown to the largest
@@ -312,10 +280,8 @@ class _Evaluator:
     """
 
     def __init__(self, states, channel: ReductionChannel, tol: Tolerances):
-        self.roots = []  # per state, (r, n): phi rows = V @ root
-        for rho in states:
-            lam, vecs = _clean_rank(rho, tol)
-            self.roots.append((vecs * np.sqrt(lam)).T)
+        spectra = [_clean_rank(rho, tol) for rho in states]
+        self.roots = [(vecs * np.sqrt(lam)).T for lam, vecs in spectra]  # per state, (r, n)
         self.ranks = [root.shape[0] for root in self.roots]
         blocks = [(ops, d) for ops, d in zip(channel.by_block, channel.block_dims) if ops]
         norm = [(ops, d) for ops, d in blocks if d == 1 or len(ops) == 1]
@@ -331,7 +297,15 @@ class _Evaluator:
         for ops, d in gram:
             (self.pair_specs if len(ops) == 2 else self.gram_specs).append((at, len(ops), d))
             at += len(ops) * d
-        self.kraus_t = np.vstack([k for ops, _ in norm + gram for k in ops]).T.copy()
+        kraus_t = np.vstack([k for ops, _ in norm + gram for k in ops]).T
+        self.mixers = [root @ kraus_t for root in self.roots]  # per state, (r, width)
+        # Columns of ν @ indicator: each norm block's weight, the member
+        # weight, then g00 and g11 of each pair block.
+        spans = self.norm_segments + [(0, at)] + [(s + i * d, d) for s, _, d in self.pair_specs
+                                                  for i in (0, 1)]
+        self.indicator = np.zeros((at, len(spans)))
+        for j, (s, w) in enumerate(spans):
+            self.indicator[s : s + w, j] = 1.0
         self._buffers: dict[str, np.ndarray] = {}
         self._views: dict[tuple, np.ndarray] = {}
 
@@ -358,122 +332,111 @@ class _Evaluator:
 
         All of any qubit stack, 104 at d = 5 pinching, 50 at d = 6.
         """
-        n, width = self.roots[0].shape[1], self.kraus_t.shape[1]
+        n, width = self.roots[0].shape[1], self.indicator.shape[0]
         return max(1, GEMM_WORK // (n * max(r, width) * m))
 
     def objective_many(self, isometries: np.ndarray, owners: np.ndarray) -> np.ndarray:
         """Objective for a stack of isometries of any length, shape (batch, m, r) -> (batch,).
 
         ``owners[i]`` is the index of the state that isometry ``i`` mixes;
-        it never decreases along the stack.  The stack runs in blocks of
-        ``block_size`` whole isometries, each block from its GEMMs to its
-        sums, so the work arrays hold one block.  In a block,
-        ``phi = rows @ root`` is one GEMM per run of one state's isometries,
-        and ``a = phi @ kraus_t`` one GEMM over all its rows, since the
-        channel is shared.  Rows do
-        not mix, so every isometry gets the same arithmetic whatever its
-        block and its neighbours.  Sums over a short trailing axis (a norm
-        block's columns, a pair block's entries, a member's weight) run as
-        one add per entry over the whole block, in the order numpy's
-        reduction takes, so they are bit for bit ``np.add.reduceat`` and
-        ``np.sum``; longer axes keep numpy's pairwise reduction.  The
-        returned array is new; only the intermediates live in the work
-        arrays.
+        it never decreases along the stack.  ``_score`` takes the stack in
+        blocks of ``block_size`` whole isometries, so the work arrays hold
+        one block; the returned array is new.
         """
         batch, m, r = isometries.shape
-        n, width = self.roots[0].shape[1], self.kraus_t.shape[1]
         per_block = self.block_size(m, r)
         values = np.empty(batch)
         for at in range(0, batch, per_block):
-            own = owners[at : at + per_block]
-            size = len(own)
-            rows = isometries[at : at + size].reshape(size * m, r)
-            phi = self.work("phi", (size * m, n), complex)
-            # Runs of one state end where the owner changes; a block of one
-            # state, the common case, skips the scan.
-            cuts = [0, size]
-            if own[0] != own[-1]:
-                cuts[1:1] = (np.flatnonzero(own[1:] != own[:-1]) + 1).tolist()
-            for lo, hi in zip(cuts, cuts[1:]):
-                np.matmul(rows[lo * m : hi * m], self.roots[own[lo]], out=phi[lo * m : hi * m])
-            a = np.matmul(phi, self.kraus_t, out=self.work("a", (size * m, width), complex))
-            phi, a = phi.reshape(size, m, n), a.reshape(size, m, width)
-            nu = self._abs2("nu", a)
-            norm_part = self.work("norm", (size, m, len(self.norm_segments)))
-            for i, (s, w) in enumerate(self.norm_segments):
-                _segment_sum(nu[..., s : s + w], out=norm_part[..., i])
-            total = _xlnx(norm_part, out=norm_part, scratch=self.work("ln", norm_part.shape)).sum(
-                axis=(-1, -2)
-            )
-            for s, _, d in self.pair_specs:
-                g00 = _row_sum(nu[..., s : s + d], out=self.work("g00", (size, m)))
-                g11 = _row_sum(nu[..., s + d : s + 2 * d], out=self.work("g11", (size, m)))
+            cut = slice(at, at + per_block)
+            self._score(isometries[cut], owners[cut], values[cut])
+        return values
+
+    def _score(self, isometries: np.ndarray, owners: np.ndarray, out: np.ndarray) -> tuple:
+        """Objective of one block of isometries into ``out``, shape (size, m, r) -> (size,).
+
+        ``a = rows @ mixer`` is one GEMM per run of one state's isometries.
+        Rows do not mix, so every isometry gets the same arithmetic whatever
+        its block and its neighbours.  Returns ``(a, sums, g01)``, all in
+        work arrays: the Kraus outputs, shape (size, m, width), ``ν @
+        indicator``, and the 2x2 Grams' off-diagonal entries, shape (size,
+        m, pairs).
+        """
+        size, m, r = isometries.shape
+        width, columns = self.indicator.shape
+        rows = isometries.reshape(size * m, r)
+        a = self.work("a", (size * m, width), complex)
+        # Runs of one state end where the owner changes; a block of one
+        # state, the common case, skips the scan.
+        cuts = [0, size]
+        if owners[0] != owners[-1]:
+            cuts[1:1] = (np.flatnonzero(owners[1:] != owners[:-1]) + 1).tolist()
+        for lo, hi in zip(cuts, cuts[1:]):
+            np.matmul(rows[lo * m : hi * m], self.mixers[owners[lo]], out=a[lo * m : hi * m])
+        sums = np.matmul(self._abs2("nu", a), self.indicator,
+                         out=self.work("sums", (size * m, columns)))
+        a, sums = a.reshape(size, m, width), sums.reshape(size, m, columns)
+        blocks, pairs = len(self.norm_segments), len(self.pair_specs)
+        # -x ln x of the norm blocks' weights and, last, of the member weight.
+        shape = (size, m, blocks + 1)
+        ent = _xlnx(sums[..., : blocks + 1], out=self.work("norm", shape),
+                    scratch=self.work("ln", shape))
+        total = ent[..., :blocks].sum(axis=(-1, -2))
+        g01 = self.work("g01", (size, m, pairs), complex)
+        if pairs:
+            for i, (s, _, d) in enumerate(self.pair_specs):
                 prod = np.conjugate(a[..., s : s + d], out=self.work("prod", (size, m, d), complex))
                 np.multiply(prod, a[..., s + d : s + 2 * d], out=prod)
-                g01 = _row_sum(prod, out=self.work("g01", (size, m), complex))
-                pair = _pair_entropy(g00, g11, g01, out=self.work("pair", (3, size, m)))
-                total += _row_sum(pair, out=self.work("pair_sum", (size,)))
-            for s, t, d in self.gram_specs:
-                shape = (size, m, t, d)
-                stackv = self.work("stack", shape, complex)
-                stackv[...] = a[..., s : s + t * d].reshape(shape)
-                conj = np.conjugate(stackv, out=self.work("conj", shape, complex))
-                gram = np.einsum("...ip,...tp->...it", conj, stackv,
-                                 out=self.work("gram", (size, m, t, t), complex))
-                eigs = np.linalg.eigvalsh(gram)
-                total += _xlnx(eigs, out=eigs).sum(axis=(-1, -2))
-            p = _row_sum(self._abs2("phi2", phi), out=self.work("p", (size, m)))
-            ent = _xlnx(p, out=p, scratch=self.work("ln", p.shape))
-            np.subtract(total, _row_sum(ent, out=self.work("ent", (size,))),
-                        out=values[at : at + size])
-        return values
+                prod.sum(axis=-1, out=g01[..., i])
+            pair = _pair_entropy(sums[..., blocks + 1 :: 2], sums[..., blocks + 2 :: 2], g01,
+                                 out=self.work("pair", (3, size, m, pairs)))
+            total += pair.sum(axis=(-1, -2))
+        for s, t, d in self.gram_specs:
+            shape = (size, m, t, d)
+            b = a[..., s : s + t * d].reshape(shape)
+            conj = np.conjugate(b, out=self.work("conj", shape, complex))
+            gram = np.einsum("...ip,...tp->...it", conj, b,
+                             out=self.work("gram", (size, m, t, t), complex))
+            eigs = np.linalg.eigvalsh(gram)
+            total += _xlnx(eigs, out=eigs).sum(axis=(-1, -2))
+        np.subtract(total, ent[..., blocks].sum(axis=-1), out=out)
+        return a, sums, g01
 
     def value_and_gradient(self, a: np.ndarray, state: int) -> tuple:
         """Objective and chart gradient at points ``a`` = V0 + Z of one state, shape (batch, m, r).
 
         Returns ``(values, grads, q)``: the objective of ``q = _retract(a)``,
-        equal to ``objective_many``'s up to rounding, and its gradient in
-        ``a``, ``∂f/∂Re a + i ∂f/∂Im a``.  Member ``φ = q_j·root`` has the
-        gradient ``2·u(φ)``, where ``u(φ) = −Σ_b Σ_{k∈b} K_k† ln X_b(φ) K_k φ
-        + ln‖φ‖²·φ`` and ``X_b(φ) = Σ_{k∈b} K_k φφ† K_k†``, logs taken on the
-        support.  With ``B`` the block's columns ``K_k φ``, ``ln X_b B =
+        ``objective_many``'s bit for bit as ``_score`` computes both, and its
+        gradient in ``a``, ``∂f/∂Re a + i ∂f/∂Im a``.  With ``X_b(φ) =
+        Σ_{k∈b} K_k φφ† K_k†`` and weight ``p = Σ_k ‖K_k φ‖²``, member ``φ``
+        has the gradient ``2·Σ_b Σ_{k∈b} K_k†(ln p − ln X_b)K_k φ``, logs
+        taken on the support.  With ``B`` the block's columns ``K_k φ``, ``ln X_b B =
         B ln(BᴴB)``: norm blocks take the log of their scalar norm, two-term
         blocks their 2x2 Gram's log in closed form and larger Gram blocks
-        batched ``eigh``.  ``G = 2·U·rootᴴ`` is pulled back through the QR
+        batched ``eigh``.  With ``w`` the rows ``ln X_b K_k φ``, the gradient
+        in ``q`` is ``G = 2·(ln p·q·M − w)·Mᴴ``, pulled back through the QR
         retraction's adjoint, ``[q·ρ†(qᴴG) + (I − qqᴴ)G]·R⁻ᴴ`` with ``R =
         qᴴa`` and ``ρ†(B) = tril(B, −1) − tril(Bᴴ, −1) + i·Im diag B``.  The
         arrays are new; ``a`` is left unchanged.
         """
-        root = self.roots[state]
         q = _retract(np.array(a, dtype=complex))
-        phi = q @ root
-        k = phi @ self.kraus_t
-        nu = k.real**2 + k.imag**2
-        w = np.zeros_like(k)  # ln X_b K_k φ, per Kraus row
-        values = np.zeros(len(a))
-        for s, width in self.norm_segments:
-            x = nu[..., s : s + width].sum(axis=-1)
-            values += _xlnx(x).sum(axis=-1)
-            w[..., s : s + width] = _log_support(x)[..., None] * k[..., s : s + width]
-        for s, _, d in self.pair_specs:
+        values = np.empty(len(q))
+        k, sums, g01 = self._score(q, np.full(len(q), state), values)
+        blocks = len(self.norm_segments)
+        # ln X_b K_k φ per Kraus row; the indicator spreads a norm block's log over its rows.
+        w = (_log_support(sums[..., :blocks]) @ self.indicator[:, :blocks].T) * k
+        g00, g11 = sums[..., blocks + 1 :: 2], sums[..., blocks + 2 :: 2]
+        alpha, beta = _pair_log(g00, g11, g01)
+        for i, (s, _, d) in enumerate(self.pair_specs):
             b0, b1 = k[..., s : s + d], k[..., s + d : s + 2 * d]
-            g00, g11 = nu[..., s : s + d].sum(axis=-1), nu[..., s + d : s + 2 * d].sum(axis=-1)
-            g01 = (b0.conj() * b1).sum(axis=-1)
-            values += _pair_entropy(g00, g11, g01).sum(axis=-1)
-            alpha, beta = (c[..., None] for c in _pair_log(g00, g11, g01))
-            g00, g11, g01 = g00[..., None], g11[..., None], g01[..., None]
-            w[..., s : s + d] = alpha * b0 + beta * (g00 * b0 + g01.conj() * b1)
-            w[..., s + d : s + 2 * d] = alpha * b1 + beta * (g01 * b0 + g11 * b1)
+            c00, c11, c01, ca, cb = (x[..., i, None] for x in (g00, g11, g01, alpha, beta))
+            w[..., s : s + d] = ca * b0 + cb * (c00 * b0 + c01.conj() * b1)
+            w[..., s + d : s + 2 * d] = ca * b1 + cb * (c01 * b0 + c11 * b1)
         for s, t, d in self.gram_specs:
             b = k[..., s : s + t * d].reshape(k.shape[:-1] + (t, d))
             lam, vecs = np.linalg.eigh(b.conj() @ np.swapaxes(b, -1, -2))
-            values += _xlnx(lam).sum(axis=(-1, -2))
             log = (vecs * _log_support(lam)[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
             w[..., s : s + t * d] = (np.swapaxes(log, -1, -2) @ b).reshape(k.shape[:-1] + (t * d,))
-        p = (phi.real**2 + phi.imag**2).sum(axis=-1)
-        values -= _xlnx(p).sum(axis=-1)
-        u = _log_support(p)[..., None] * phi - w @ self.kraus_t.conj().T
-        g = 2.0 * u @ root.conj().T
+        g = 2.0 * (_log_support(sums[..., blocks, None]) * k - w) @ self.mixers[state].conj().T
         qh = np.swapaxes(q.conj(), -1, -2)
         inner = qh @ g
         rho = np.tril(inner - np.swapaxes(inner.conj(), -1, -2), -1)
@@ -642,11 +605,11 @@ def _finish(ev: _Evaluator, state: int, v0: np.ndarray, f0: float, cfg: SolverCo
     (the cutoff ``_clean_rank`` puts on eigenvalues) are then zeroed and the
     isometry retracted again, if that raises the value by at most
     ``FINISH_TOL``: a member that light is below what the finish resolves.
-    ``objective_many`` scores each outcome, which replaces ``(f0, v0)`` only
-    if its value is not higher, so the finish never raises a value.
+    Each outcome, valued bit for bit as by ``objective_many``, replaces
+    ``(f0, v0)`` only if its value is not higher: the finish never raises a
+    value.
     """
     m, r = v0.shape
-    owner = np.full(1, state)
 
     def chart(x):
         return v0 + (x[: m * r] + 1j * x[m * r :]).reshape(m, r)
@@ -686,17 +649,14 @@ def _finish(ev: _Evaluator, state: int, v0: np.ndarray, f0: float, cfg: SolverCo
             hy = inverse @ y
             inverse += ((sy + y @ hy) / sy**2) * np.outer(s, s) - (
                 np.outer(hy, s) + np.outer(s, hy)) / sy
-    f, v = f0, v0
-    f_finished = ev.objective_many(q[None], owner)[0]
-    if f_finished <= f0:
-        f, v = float(f_finished), q
+    f, v = (float(f), q) if f <= f0 else (f0, v0)
     weights = np.sum(np.abs(v @ ev.roots[state]) ** 2, axis=1)
     small = (weights > 0.0) & (weights < tol.value)
     if small.any() and np.count_nonzero(weights >= tol.value) >= r:
         pruned = v.copy()
         pruned[small] = 0.0
         pruned = _retract(pruned)
-        f_pruned = ev.objective_many(pruned[None], owner)[0]
+        f_pruned = ev.objective_many(pruned[None], np.full(1, state))[0]
         if f_pruned <= min(f + FINISH_TOL, f0):
             f, v = float(f_pruned), pruned
     return f, v

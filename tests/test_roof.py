@@ -36,7 +36,6 @@ from roofentropy.roof import (
     INITIAL_STEP,
     LADDER,
     OBJECTIVE_ROWS,
-    SHORT_AXIS,
     STEP_CAP,
     STEP_TOL,
     VALUE_TOL,
@@ -45,8 +44,6 @@ from roofentropy.roof import (
     _finish,
     _pair_entropy,
     _retract,
-    _row_sum,
-    _segment_sum,
     _start_isometries,
 )
 from roofentropy.sampling import ginibre_density, haar_unitary
@@ -225,22 +222,79 @@ class TestGramBlocks:
             assert np.array_equal(stacked, single)
 
 
+# Completeness defect planted in the defect channel: within COMPLETENESS_TOL.
+DEFECT = 5e-11
+
+
+def edge_channels(rng):
+    """Channels without a norm block, and one with a completeness defect.
+
+    The first feeds one 2-dim block by two terms, rows of a Haar unitary, so
+    the evaluator's indicator has only pair and weight columns; the second
+    feeds one 2-dim block by three such terms, so it has the weight column
+    alone.  The third is the mixed Gram channel with every Kraus matrix
+    scaled by sqrt(1 + DEFECT): its Kraus outputs weigh (1 + DEFECT)·‖φ‖².
+    """
+    rows = haar_unitary(4, rng).conj().T
+    pair_only = ReductionChannel(4, (2,), ((0, rows[0:2]), (0, rows[2:4])))
+    rows = haar_unitary(6, rng).conj().T
+    three_only = ReductionChannel(6, (2,), tuple((0, rows[i : i + 2]) for i in (0, 2, 4)))
+    _, mixed = gram_channels(rng)
+    scale = math.sqrt(1.0 + DEFECT)
+    defect = ReductionChannel(3, mixed.block_dims, tuple((b, scale * k) for b, k in mixed.kraus))
+    return (("pair-only", pair_only), ("three-only", three_only), ("defect", defect))
+
+
 def kernel_cases(rng):
-    """(name, state, channel): norm-only, two-term, three-term Gram and block_compression
-    channels, each with a full-rank and a rank-deficient state."""
+    """(name, state, channel): norm-only, two-term, three-term Gram, block_compression
+    and the edge channels, each with a full-rank and a rank-deficient state."""
     pair, mixed = gram_channels(rng)
     channels = (
         ("norm", pinching([np.diag([1.0, 1, 0, 0]), np.diag([0.0, 0, 1, 1])])),
         ("pair", pair),
         ("gram", mixed),
         ("compression", block_compression(PureState(np.array([0.0, 0.6, 0.0, 0.8])))),
-    )
+    ) + edge_channels(rng)
     for name, channel in channels:
         n = channel.input_dim
         for rank in (n, n - 1):
             w = haar_unitary(n, rng)[:, :rank]
             rho = DensityOperator(w @ np.diag(rng.dirichlet(np.ones(rank))) @ w.conj().T)
             yield f"{name}-rank{rank}", rho, channel
+
+
+class TestKrausOutputs:
+    """The objective reads only the Kraus outputs a = V·M of each member."""
+
+    def test_indicator_columns(self, rng):
+        # Columns: each norm block's weight (none here), the member weight,
+        # then g00 and g11 of each pair block.
+        pair_only, three_only, _ = (channel for _, channel in edge_channels(rng))
+        pair_columns = [[1, 1, 0], [1, 1, 0], [1, 0, 1], [1, 0, 1]]
+        for channel, expected in ((pair_only, pair_columns), (three_only, np.ones((6, 1)))):
+            ev = _Evaluator([ginibre_density(channel.input_dim, rng)], channel, DEFAULT_TOL)
+            assert ev.norm_segments == []
+            assert np.array_equal(ev.indicator, expected)
+
+    def test_objective_matches_slow_path(self, rng):
+        for name, rho, channel in kernel_cases(rng):
+            ev = _Evaluator([rho], channel, DEFAULT_TOL)
+            r = ev.ranks[0]
+            shape = (4, r + 2, r)
+            for v in _retract(rng.normal(size=shape) + 1j * rng.normal(size=shape)):
+                fast = ev.objective_many(v[None], alone(1))[0]
+                slow = roof_objective(decomposition_from_isometry(rho, v), channel)
+                assert fast == pytest.approx(slow, abs=1e-9), name
+
+    def test_weights_carry_the_completeness_defect(self, rng):
+        # The member weights come from the Kraus outputs, not from ‖φ‖².
+        _, _, defect = (channel for _, channel in edge_channels(rng))
+        ev = _Evaluator([ginibre_density(3, rng)], defect, DEFAULT_TOL)
+        v = _retract(rng.normal(size=(5, 9, 3)) + 1j * rng.normal(size=(5, 9, 3)))
+        _, sums, _ = ev._score(v, alone(5), np.empty(5))
+        weights = sums[..., len(ev.norm_segments)]
+        norms = np.sum(np.abs(v @ ev.roots[0]) ** 2, axis=-1)
+        assert np.max(np.abs(weights / norms - 1.0 - DEFECT)) <= 1e-13
 
 
 class TestValueAndGradient:
@@ -256,7 +310,7 @@ class TestValueAndGradient:
             assert np.array_equal(a, keep), name
             assert np.array_equal(q, _retract(a.copy())), name
             want = ev.objective_many(_retract(a.copy()), alone(len(a)))
-            assert np.max(np.abs(values - want)) <= 1e-12, name
+            assert np.array_equal(values, want), name
 
     def test_chart_gradient_matches_forward_differences(self, rng):
         # At A = V0 + Z, off the manifold, the chart gradient is that of
@@ -286,6 +340,18 @@ class TestFinish:
                     assert value <= f0, name
                     assert value == ev.objective_many(v[None], alone(1))[0]
                     assert np.allclose(v.conj().T @ v, np.eye(r), atol=1e-12)
+
+    def test_finished_value_is_objective_many_bit_for_bit(self, rng):
+        # From the eigen-ensemble the BFGS moves every case, so the value is
+        # the finish's own, never a re-score.
+        for name, rho, channel in kernel_cases(rng):
+            ev = _Evaluator([rho], channel, DEFAULT_TOL)
+            r = ev.ranks[0]
+            v0 = np.eye(r + 2, r, dtype=complex)
+            f0 = float(ev.objective_many(v0[None], alone(1))[0])
+            value, v = _finish(ev, 0, v0, f0, SolverConfig(), DEFAULT_TOL)
+            assert value < f0, name
+            assert np.array_equal(bits([value]), bits(ev.objective_many(v[None], alone(1)))), name
 
     def test_finish_reaches_the_qubit_roof(self):
         # From the eigen-ensemble, which the descent leaves above qubit_R.
@@ -674,8 +740,8 @@ class TestWorkBuffers:
                 assert np.array_equal(got, fresh)
 
     def test_work_arrays_hold_one_block(self, rng):
-        # 500 isometries of a d = 5 pinching run in blocks of 104, so phi
-        # holds 2,600 of the stack's 12,500 rows.
+        # 500 isometries of a d = 5 pinching run in blocks of 104, so the
+        # Kraus outputs a hold 2,600 of the stack's 12,500 rows.
         n, m = 5, 25
         ev = _Evaluator([ginibre_density(n, rng)], diagonal_pinching(n), DEFAULT_TOL)
         shape = (500, m, n)
@@ -683,7 +749,9 @@ class TestWorkBuffers:
         got = ev.objective_many(v, alone(len(v)))
         per_block = GEMM_WORK // (n * n * m)
         assert per_block == 104
-        assert ev._buffers["phi"].size <= per_block * m * n
+        width = ev.indicator.shape[0]
+        assert width == n
+        assert ev._buffers["a"].size <= per_block * m * width
         single = np.array([ev.objective_many(v[i : i + 1], alone(1))[0] for i in range(len(v))])
         assert np.array_equal(got, single)
 
@@ -803,41 +871,6 @@ class TestWorkBuffers:
         first = enc(solve_R(rho3, diagonal_pinching(3), cfg))
         solve_R(rho4, diagonal_pinching(4), cfg)
         assert enc(solve_R(rho3, diagonal_pinching(3), cfg)) == first
-
-
-def _signed_zeros(rng, shape, dtype):
-    """Mixed magnitudes with +0.0 and -0.0 entries; some rows all -0.0, some all +0.0."""
-    def part():
-        x = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 8, shape)
-        x[rng.random(shape) < 0.2] = 0.0
-        x[rng.random(shape) < 0.2] = -0.0
-        x[0], x[1], x[2, ..., :1] = -0.0, 0.0, -0.0
-        return x
-    if dtype is float:
-        return part()
-    z = np.empty(shape, dtype=complex)
-    z.real, z.imag = part(), part()
-    return z
-
-
-class TestShortReductions:
-    """The whole-stack adds give numpy's own reductions, bit for bit."""
-
-    @pytest.mark.parametrize("dtype", [float, complex])
-    @pytest.mark.parametrize("width", range(1, SHORT_AXIS + 3))
-    def test_row_sum_matches_sum(self, rng, width, dtype):
-        wide = _signed_zeros(rng, (40, 6, width + 3), dtype)
-        # A column slice, as the pair blocks read, and a contiguous stack.
-        for x in (wide[..., 2 : 2 + width], np.ascontiguousarray(wide[..., :width])):
-            out = np.empty(x.shape[:-1], dtype)
-            assert np.array_equal(bits(_row_sum(x, out=out)), bits(x.sum(axis=-1)))
-
-    @pytest.mark.parametrize("width", range(1, SHORT_AXIS + 3))
-    def test_segment_sum_matches_reduceat(self, rng, width):
-        x = _signed_zeros(rng, (40, 6, width + 5), float)
-        expected = np.add.reduceat(x, np.array([0, 3, 3 + width]), axis=-1)[..., 1]
-        out = np.empty((40, 6, 2))[..., 1]
-        assert np.array_equal(bits(_segment_sum(x[..., 3 : 3 + width], out=out)), bits(expected))
 
 
 def _descend_reference(ev, starts, owners, cfg):
