@@ -38,6 +38,7 @@ __all__ = [
 
 DOMAIN_TOL = 1e-12     # how far past 1/2 an off-diagonal magnitude may lie
 ZERO_OVERLAP = 1e-12   # below this an overlap counts as exactly zero
+SERIES_CHUNK = 1 << 16  # most terms of qubit_R_series held in one array
 
 
 def _magnitude(z) -> float:
@@ -78,7 +79,9 @@ def qubit_R_series(z, terms: int) -> float:
 
     Here ``u = 1 - 4 |z|^2``.  Partial sums decrease monotonically in
     ``terms`` and converge to the closed form from above; convergence is
-    geometric in ``u`` and therefore slow near ``|z| = 0``.
+    geometric in ``u`` and therefore slow near ``|z| = 0``.  The terms are
+    summed in chunks of at most ``SERIES_CHUNK``, so memory stays flat in
+    ``terms``; up to that many it is one chunk.
 
     The remainder after ``N`` terms, ``T_N = sum_{k > N} a_k`` with
     ``a_k = u^k / (2k(2k-1))``, is bracketed as follows.  For ``u < 1`` the
@@ -90,8 +93,14 @@ def qubit_R_series(z, terms: int) -> float:
     """
     terms = _require_int("terms", terms, 1)
     u = _radicand(_magnitude(z))
-    k = np.arange(1, terms + 1, dtype=float)
-    return float(math.log(2.0) - np.sum(u**k / (2.0 * k * (2.0 * k - 1.0))))
+    total = 0.0
+    for lo in range(1, terms + 1, SERIES_CHUNK):
+        k = np.arange(lo, min(lo + SERIES_CHUNK, terms + 1), dtype=float)
+        powers = u**k
+        k *= 2.0
+        k *= k - 1.0  # 2k(2k - 1), in place
+        total += np.sum(np.divide(powers, k, out=powers))
+    return float(math.log(2.0) - total)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)

@@ -4,30 +4,27 @@ Every length-``m`` decomposition of a rank-``r`` density operator into
 unnormalized pure pieces arises from an ``m x r`` column isometry ``V``
 applied to the square-root-scaled eigenvectors of the state; by default
 ``m = min(r + 2, n²)``.  The solver searches that isometry manifold with
-multi-start descent along the forward-difference gradient of the objective
-composed with the QR retraction, so iterates stay on the manifold, then
-finishes each state's best restart with a dense BFGS in the chart
-``Z ↦ _retract(V0 + Z)``, driven by the evaluator's analytic
-value-and-gradient kernel, and prunes the members too light to resolve.
-The finish accepts only decreases.  The retraction runs LAPACK's
-QR on stacks the solver owns (its gradient copies, line-search candidates
-and starts), reads only R's diagonal and writes Q over its input, so it
-allocates only per-matrix vectors.  The restarts run in lockstep as one
+multi-start descent along the exact gradient of the objective composed with
+the QR retraction, so iterates stay on the manifold, then finishes each
+state's best restart with a dense BFGS in the chart ``Z ↦ _retract(V0 +
+Z)``, which accepts only decreases, and prunes the members too light to
+resolve.  Both take their gradients from the evaluator's analytic
+value-and-gradient kernel.  The retraction runs LAPACK's QR on stacks the
+solver owns (its line-search candidates and starts), reads only R's
+diagonal and writes Q over its input.  The restarts run in lockstep as one
 stack of isometries; each keeps its own step and stopping rule and leaves
 the stack when it stops.  Solves of several states under one channel (the
 affinity certificate's re-solves, say) share such a stack: every isometry
 carries the index of its state, and each state's restarts follow the path
 they follow when that state is solved alone.
 
-The line search tries the two longest steps of its halving ladder first and
-the shorter ones only for restarts those did not improve; each stage moves
-the restarts it improves.  The objective reads only each member's Kraus
-outputs, one GEMM per run of one state's isometries, and runs a stack of any
-length in blocks of whole isometries within ``GEMM_WORK`` multiply-adds.  The
-gradient cuts its finite-difference copies at that same block size, so each
-block of copies is gathered, bumped, retracted and evaluated in one go, in
-one work array of one block; ``OBJECTIVE_ROWS`` bounds only the lockstep
-stacks.
+Each descent step takes one gradient call for the whole live stack, then
+scores every rung of each live restart's halving ladder.  The objective
+reads only each member's Kraus outputs, one GEMM per run of one state's
+isometries, and runs a stack of any length in blocks of whole isometries
+within ``GEMM_WORK`` multiply-adds; ``OBJECTIVE_ROWS`` bounds the lockstep
+stacks.  ``_fd_gradient`` is the finite-difference reference the analytic
+gradient is tested against; the solver does not call it.
 """
 
 from __future__ import annotations
@@ -66,22 +63,17 @@ __all__ = [
 ]
 
 ISOMETRY_TOL = 1e-10
-FD_STEP = 1e-7          # forward-difference step on the ambient parameters
+FD_STEP = 1e-7          # _fd_gradient's forward-difference step on the ambient parameters
 INITIAL_STEP = 0.25
 LADDER = 8              # step-halving candidates per line search
-# Rungs evaluated for every restart before the rest of the ladder.  Rung 0 is
-# twice the last accepted step and rung 1 that step itself, and one of the two
-# is accepted in most steps, so rungs 2 onward are evaluated only for the
-# restarts that neither improves.
-FIRST_RUNGS = 2
 # Most isometry rows (restarts x m) of one lockstep stack of _solve_states.
 OBJECTIVE_ROWS = 8192
 # Most multiply-adds in one block of objective_many, at n·max(r, width) per
 # isometry row, at least the r·width of its GEMM (_Evaluator.block_size);
-# _fd_gradient cuts its copies at the same size, so the work arrays hold one
-# block.  OpenBLAS hands larger products to its thread pool, and with default
-# threads that hand-off stalled these thin products by milliseconds; qubit
-# stacks stay one block.
+# value_and_gradient scores a descent's live stack as one block.  OpenBLAS
+# hands larger products to its thread pool, and with default threads that
+# hand-off stalled these thin products by milliseconds; qubit stacks stay one
+# block.
 GEMM_WORK = 65536
 STEP_CAP = 1.0
 # A restart stops when its step falls below STEP_TOL, or when two accepted
@@ -251,6 +243,14 @@ def _pair_log(g00: np.ndarray, g11: np.ndarray, g01: np.ndarray) -> tuple:
     return np.where(full, alpha, 0.0), np.where(full, beta, np.log(high) / high)
 
 
+def _owner_runs(owners: np.ndarray) -> zip:
+    """``(lo, hi)`` of each run of one state in a never-decreasing owner array."""
+    cuts = [0, len(owners)]
+    if owners[0] != owners[-1]:  # a stack of one state, the common case, skips the scan
+        cuts[1:1] = (np.flatnonzero(owners[1:] != owners[:-1]) + 1).tolist()
+    return zip(cuts, cuts[1:])
+
+
 class _Evaluator:
     """Vectorized objective over batches of mixing isometries.
 
@@ -365,12 +365,7 @@ class _Evaluator:
         width, columns = self.indicator.shape
         rows = isometries.reshape(size * m, r)
         a = self.work("a", (size * m, width), complex)
-        # Runs of one state end where the owner changes; a block of one
-        # state, the common case, skips the scan.
-        cuts = [0, size]
-        if owners[0] != owners[-1]:
-            cuts[1:1] = (np.flatnonzero(owners[1:] != owners[:-1]) + 1).tolist()
-        for lo, hi in zip(cuts, cuts[1:]):
+        for lo, hi in _owner_runs(owners):
             np.matmul(rows[lo * m : hi * m], self.mixers[owners[lo]], out=a[lo * m : hi * m])
         sums = np.matmul(self._abs2("nu", a), self.indicator,
                          out=self.work("sums", (size * m, columns)))
@@ -401,9 +396,12 @@ class _Evaluator:
         np.subtract(total, ent[..., blocks].sum(axis=-1), out=out)
         return a, sums, g01
 
-    def value_and_gradient(self, a: np.ndarray, state: int) -> tuple:
-        """Objective and chart gradient at points ``a`` = V0 + Z of one state, shape (batch, m, r).
+    def value_and_gradient(self, a: np.ndarray, owners: np.ndarray) -> tuple:
+        """Objective and chart gradient at points ``a`` = V0 + Z, shape (batch, m, r).
 
+        ``owners`` are the points' states, as in ``objective_many``.  The
+        stack is one ``_score`` block, and the product with ``Mᴴ`` runs per
+        run of one state, so a stack equals its per-state calls bit for bit.
         Returns ``(values, grads, q)``: the objective of ``q = _retract(a)``,
         ``objective_many``'s bit for bit as ``_score`` computes both, and its
         gradient in ``a``, ``∂f/∂Re a + i ∂f/∂Im a``.  With ``X_b(φ) =
@@ -420,7 +418,7 @@ class _Evaluator:
         """
         q = _retract(np.array(a, dtype=complex))
         values = np.empty(len(q))
-        k, sums, g01 = self._score(q, np.full(len(q), state), values)
+        k, sums, g01 = self._score(q, owners, values)
         blocks = len(self.norm_segments)
         # ln X_b K_k φ per Kraus row; the indicator spreads a norm block's log over its rows.
         w = (_log_support(sums[..., :blocks]) @ self.indicator[:, :blocks].T) * k
@@ -436,7 +434,9 @@ class _Evaluator:
             lam, vecs = np.linalg.eigh(b.conj() @ np.swapaxes(b, -1, -2))
             log = (vecs * _log_support(lam)[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
             w[..., s : s + t * d] = (np.swapaxes(log, -1, -2) @ b).reshape(k.shape[:-1] + (t * d,))
-        g = 2.0 * (_log_support(sums[..., blocks, None]) * k - w) @ self.mixers[state].conj().T
+        u = 2.0 * (_log_support(sums[..., blocks, None]) * k - w)
+        g = np.concatenate([u[lo:hi] @ self.mixers[owners[lo]].conj().T
+                            for lo, hi in _owner_runs(owners)])
         qh = np.swapaxes(q.conj(), -1, -2)
         inner = qh @ g
         rho = np.tril(inner - np.swapaxes(inner.conj(), -1, -2), -1)
@@ -491,17 +491,14 @@ def _fd_gradient(
 ) -> np.ndarray:
     """Forward-difference gradients of the retracted objective, as complex matrices.
 
-    ``v`` is a stack of isometries, shape (k, m, r), ``owners`` the index of
-    each one's state (never decreasing) and ``f0`` their objective values.
-    The 2·m·r perturbed copies of each run in blocks of the evaluator's
-    ``block_size``, cut wherever that count falls, so each block is
-    gathered, bumped, retracted and evaluated in one go and pays each
-    stage's fixed cost once; each copy keeps its restart's owner.  The
-    copy, column and bump index arrays are built once per call.  A block's
-    copies are gathered into the evaluator's ``fd`` work array, and only the
-    bumped entry of each copy is then added to: a broadcast add would turn
+    The finite-difference reference for ``value_and_gradient``: tests check
+    the analytic gradient against it, and the benchmark traces it by name.
+    The solver does not call it.  ``v`` is a stack of isometries, shape (k,
+    m, r), ``owners`` their states (never decreasing) and ``f0`` their
+    values.  The 2·m·r bumped copies of each are scored in blocks of the
+    evaluator's ``block_size``, gathered into its ``fd`` work array.  Only
+    the bumped entry of each copy is added to: a broadcast add would turn
     its -0.0 entries into +0.0, which flips the sign QR gives a reflector.
-    The retraction then writes Q over ``fd``, which the objective reads.
     """
     k, m, r = v.shape
     count = m * r
@@ -533,16 +530,14 @@ def _descend(ev: _Evaluator, starts: np.ndarray, owners: np.ndarray, cfg: Solver
     never decreasing along the stack, so the restarts of several states
     under one channel descend together.  Each restart keeps its own step,
     stall count and stopping rule, and leaves the stack when it stops.
-    Every array operation acts slice by slice, so a restart's path does not
-    depend on the others, whether they belong to its state or another.  The
-    line search moves to the first rung of the halving ladder that improves.
-    It runs in two stages: the first ``FIRST_RUNGS`` rungs for every
-    restart, then the rest for the restarts the first stage did not move.
-    Each stage retracts its candidates in place, scores them and moves its
-    restarts to their first improving rung, the one a full ladder picks.
-    ``starts`` is consumed: the first retraction overwrites it.  Returns
-    the per-restart values, isometries, converged flags and iteration
-    counts.
+    Each iteration takes the exact gradients of the live restarts from one
+    ``value_and_gradient`` call with their owners, and the line search
+    scores every rung of each one's halving ladder and moves it to the first
+    that improves.  Every array operation acts slice by slice, so a
+    restart's path does not depend on the others, whether they belong to its
+    state or another.  ``starts`` is consumed: the first retraction
+    overwrites it.  Returns the per-restart values, isometries, converged
+    flags and iteration counts.
     """
     v = _retract(starts)
     f = ev.objective_many(v, owners)
@@ -556,31 +551,26 @@ def _descend(ev: _Evaluator, starts: np.ndarray, owners: np.ndarray, cfg: Solver
     for it in range(1, cfg.max_iters + 1):
         if live.size == 0:
             break
-        grad = _fd_gradient(ev, v[live], owners[live], f[live])
+        grad = ev.value_and_gradient(v[live], owners[live])[1]
         zero = np.linalg.norm(grad.reshape(len(grad), -1), axis=1) < ZERO_GRADIENT
-        idx, grad = live[~zero], grad[~zero]
-        pending = np.arange(idx.size)
-        for rungs in (ladder[:FIRST_RUNGS], ladder[FIRST_RUNGS:]):
-            if pending.size == 0:
-                break
-            j = idx[pending]
-            scales = step[j, None] * rungs
-            trial = _retract(v[j, None] - scales[..., None, None] * grad[pending, None])
-            values = ev.objective_many(
-                trial.reshape(-1, m, r), np.repeat(owners[j], rungs.size)
-            ).reshape(scales.shape)
-            better = values < f[j, None]
-            moved = better.any(axis=1)
-            pick = better[moved].argmax(axis=1)
-            rows, j = np.flatnonzero(moved), j[moved]
-            gain = f[j] - values[rows, pick]
-            v[j] = trial[rows, pick]
-            f[j] = values[rows, pick]
-            step[j] = np.minimum(scales[rows, pick] * 2.0, STEP_CAP)
-            stalls[j] = np.where(gain < VALUE_TOL, stalls[j] + 1, 0)
-            pending = pending[~moved]
+        idx = live[~zero]
+        scales = step[idx, None] * ladder
+        trial = _retract(v[idx, None] - scales[..., None, None] * grad[~zero, None])
+        values = ev.objective_many(
+            trial.reshape(-1, m, r), np.repeat(owners[idx], LADDER)
+        ).reshape(scales.shape)
+        better = values < f[idx, None]
+        moved = better.any(axis=1)
+        rows = np.flatnonzero(moved)
+        pick = better[rows].argmax(axis=1)
+        j = idx[rows]
+        gain = f[j] - values[rows, pick]
+        v[j] = trial[rows, pick]
+        f[j] = values[rows, pick]
+        step[j] = np.minimum(scales[rows, pick] * 2.0, STEP_CAP)
+        stalls[j] = np.where(gain < VALUE_TOL, stalls[j] + 1, 0)
         # No better candidate: shrink the step; the iteration still counts.
-        step[idx[pending]] *= ladder[-1] * 0.5
+        step[idx[~moved]] *= ladder[-1] * 0.5
         done = (step[idx] < STEP_TOL) | (stalls[idx] >= 2)
         ended = np.concatenate([live[zero], idx[done]])
         converged[ended] = True
@@ -615,7 +605,7 @@ def _finish(ev: _Evaluator, state: int, v0: np.ndarray, f0: float, cfg: SolverCo
         return v0 + (x[: m * r] + 1j * x[m * r :]).reshape(m, r)
 
     def evaluate(x):
-        values, grads, q = ev.value_and_gradient(chart(x)[None], state)
+        values, grads, q = ev.value_and_gradient(chart(x)[None], np.full(1, state))
         return values[0], np.concatenate([grads[0].real.ravel(), grads[0].imag.ravel()]), q[0]
 
     x = np.zeros(2 * m * r)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from roofentropy import (
     qubit_R_series,
     solve_R,
 )
-from roofentropy.oracles import DOMAIN_TOL, _mixing_weights
+from roofentropy.oracles import DOMAIN_TOL, SERIES_CHUNK, _mixing_weights
 from roofentropy.sampling import ginibre_density
 from roofentropy.states import DEFAULT_TOL
 
@@ -159,6 +160,34 @@ class TestQubitSeries:
     def test_terms_validation(self):
         with pytest.raises(ValidationError):
             qubit_R_series(0.3, 0)
+
+    @pytest.mark.parametrize("terms", [50, 800, SERIES_CHUNK])
+    def test_one_chunk_keeps_the_one_array_bits(self, terms):
+        k = np.arange(1, terms + 1, dtype=float)
+        for z in (0.0, 0.05, 0.1, 0.3, 0.49, 0.5):
+            u = max(0.0, 1.0 - 4.0 * min(z, 0.5) ** 2)
+            want = float(LN2 - np.sum(u**k / (2.0 * k * (2.0 * k - 1.0))))
+            assert qubit_R_series(z, terms) == want
+
+    def test_chunks_sum_to_the_one_array_formula(self):
+        terms = 3 * SERIES_CHUNK + 17
+        k = np.arange(1, terms + 1, dtype=float)
+        for z in (0.0, 1e-3, 0.3):
+            u = max(0.0, 1.0 - 4.0 * min(z, 0.5) ** 2)
+            want = float(LN2 - np.sum(u**k / (2.0 * k * (2.0 * k - 1.0))))
+            assert qubit_R_series(z, terms) == pytest.approx(want, abs=1e-15)
+
+    def test_memory_does_not_grow_with_terms(self):
+        # One array of 10**6 terms took 32 MB; a chunk of 2**16 takes 0.5 MB.
+        tracemalloc.start()
+        try:
+            value = qubit_R_series(0.0, 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+        # The tail at z = 0 lies between 1/(4N + 2) and 1/(4N + 1), up to rounding.
+        assert 1.0 / (4e6 + 2) - 1e-15 < value - qubit_R(0.0) < 1.0 / (4e6 + 1) + 1e-15
 
     @pytest.mark.parametrize("terms", [2.5, True])
     def test_terms_must_be_an_integer(self, terms):

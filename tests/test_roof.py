@@ -1,6 +1,5 @@
 import json
 import math
-import sys
 import tracemalloc
 
 import numpy as np
@@ -31,14 +30,9 @@ from roofentropy.jsonio import roof_result_to_json, round_floats
 from roofentropy.roof import (
     FD_STEP,
     FINISH_TOL,
-    FIRST_RUNGS,
     GEMM_WORK,
-    INITIAL_STEP,
     LADDER,
     OBJECTIVE_ROWS,
-    STEP_CAP,
-    STEP_TOL,
-    VALUE_TOL,
     _Evaluator,
     _fd_gradient,
     _finish,
@@ -263,6 +257,19 @@ def kernel_cases(rng):
             yield f"{name}-rank{rank}", rho, channel
 
 
+# Owners of a two-state stack: runs of 2 and 4 points.
+OWNERS = np.array([0, 0, 1, 1, 1, 1])
+
+
+def two_state_cases(rng):
+    """(name, [state, other], channel): each kernel case with a second state of its rank."""
+    for name, rho, channel in kernel_cases(rng):
+        n, r = channel.input_dim, np.linalg.matrix_rank(rho.matrix)
+        w = haar_unitary(n, rng)[:, :r]
+        other = DensityOperator(w @ np.diag(rng.dirichlet(np.ones(r))) @ w.conj().T)
+        yield name, [rho, other], channel
+
+
 class TestKrausOutputs:
     """The objective reads only the Kraus outputs a = V·M of each member."""
 
@@ -306,7 +313,7 @@ class TestValueAndGradient:
             r = ev.ranks[0]
             a = rng.normal(size=(5, r + 2, r)) + 1j * rng.normal(size=(5, r + 2, r))
             keep = a.copy()
-            values, _, q = ev.value_and_gradient(a, 0)
+            values, _, q = ev.value_and_gradient(a, alone(len(a)))
             assert np.array_equal(a, keep), name
             assert np.array_equal(q, _retract(a.copy())), name
             want = ev.objective_many(_retract(a.copy()), alone(len(a)))
@@ -314,17 +321,33 @@ class TestValueAndGradient:
 
     def test_chart_gradient_matches_forward_differences(self, rng):
         # At A = V0 + Z, off the manifold, the chart gradient is that of
-        # A -> f(_retract(A)), which _fd_gradient takes at A itself.
-        for name, rho, channel in kernel_cases(rng):
-            ev = _Evaluator([rho], channel, DEFAULT_TOL)
+        # A -> f(_retract(A)), which _fd_gradient takes at A itself; at
+        # A = V0 it is the descent's.  One stack holds two states' points.
+        for name, states, channel in two_state_cases(rng):
+            ev = _Evaluator(states, channel, DEFAULT_TOL)
             r = ev.ranks[0]
-            shape = (3, r + 2, r)
+            shape = (len(OWNERS), r + 2, r)
             v0 = _retract(rng.normal(size=shape) + 1j * rng.normal(size=shape))
-            a = v0 + 0.1 * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
-            _, grads, _ = ev.value_and_gradient(a, 0)
-            f0 = ev.objective_many(_retract(a.copy()), alone(len(a)))
-            fd = _fd_gradient(ev, a, alone(len(a)), f0)
-            assert np.max(np.abs(grads - fd)) <= 1e-6, name
+            for a in (v0 + 0.1 * (rng.normal(size=shape) + 1j * rng.normal(size=shape)), v0):
+                _, grads, _ = ev.value_and_gradient(a, OWNERS)
+                f0 = ev.objective_many(_retract(a.copy()), OWNERS)
+                fd = _fd_gradient(ev, a, OWNERS, f0)
+                assert np.max(np.abs(grads - fd)) <= 1e-6, name
+
+    def test_mixed_owner_stack_matches_per_owner_calls(self, rng):
+        # The stacked call equals each owner's run on an evaluator of its
+        # state alone, bit for bit: values, gradients and retractions.
+        for name, states, channel in two_state_cases(rng):
+            ev = _Evaluator(states, channel, DEFAULT_TOL)
+            r = ev.ranks[0]
+            shape = (len(OWNERS), r + 2, r)
+            a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            got = ev.value_and_gradient(a, OWNERS)
+            for state, (lo, hi) in zip(states, ((0, 2), (2, 6))):
+                solo = _Evaluator([state], channel, DEFAULT_TOL)
+                want = solo.value_and_gradient(a[lo:hi], alone(hi - lo))
+                for x, y in zip(got, want):
+                    assert np.array_equal(bits(x[lo:hi]), bits(y)), name
 
 
 class TestFinish:
@@ -532,17 +555,17 @@ class TestLockstepRestarts:
         assert full.restart_values[:5] == few.restart_values
 
     def test_chunked_gradient_stack_independent(self, rng):
-        # At d = 5 one restart perturbs 2 * 25 * 5 = 250 isometries of 25
-        # rows (max_length pinned to 25), more than one evaluator block holds,
-        # so the gradient stack of 1, 3 or 4 restarts is cut into several
-        # blocks, at different places within each restart's copies.
+        # At d = 5 the line search of 16 restarts scores 16 * LADDER = 128
+        # isometries of 25 rows (max_length pinned to 25), more than one
+        # evaluator block holds, so it is cut inside a restart's rungs, while
+        # the stacks of 1 or 3 restarts are one block each.
         g = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
         h = g @ g.conj().T
         rho = DensityOperator(h / np.trace(h).real)
         channel = pinching([np.diag([1.0, 1, 0, 0, 0]), np.diag([0.0, 0, 1, 1, 0]),
                             np.diag([0.0, 0, 0, 0, 1])])
-        assert 2 * 25 * 5 > _Evaluator([rho], channel, DEFAULT_TOL).block_size(25, 5)
-        full = solve_R(rho, channel, SolverConfig(restarts=4, max_iters=6, max_length=25))
+        assert 16 * LADDER > _Evaluator([rho], channel, DEFAULT_TOL).block_size(25, 5)
+        full = solve_R(rho, channel, SolverConfig(restarts=16, max_iters=6, max_length=25))
         for j in (1, 3):
             part = solve_R(rho, channel, SolverConfig(restarts=j, max_iters=6, max_length=25))
             assert full.restart_values[:j] == part.restart_values
@@ -873,100 +896,60 @@ class TestWorkBuffers:
         assert enc(solve_R(rho3, diagonal_pinching(3), cfg)) == first
 
 
-def _descend_reference(ev, starts, owners, cfg):
-    """The full-ladder descent: every rung of every live restart is evaluated."""
-    v = _retract_reference(starts)
-    f = ev.objective_many(v, owners)
-    k, m, r = v.shape
-    step = np.full(k, INITIAL_STEP)
-    stalls = np.zeros(k, dtype=np.intp)
-    converged = np.zeros(k, dtype=bool)
-    iterations = np.full(k, cfg.max_iters)
-    ladder = 0.5 ** np.arange(LADDER)
-    live = np.arange(k)
-    for it in range(1, cfg.max_iters + 1):
-        if live.size == 0:
-            break
-        grad = _fd_gradient_reference(ev, v[live], owners[live], f[live])
-        zero = np.linalg.norm(grad.reshape(len(grad), -1), axis=1) < 1e-13
-        idx = live[~zero]
-        scales = step[idx, None] * ladder
-        candidates = v[idx, None] - scales[..., None, None] * grad[~zero, None]
-        trial = _retract_reference(candidates.reshape(-1, m, r)).reshape(candidates.shape)
-        values = ev.objective_many(
-            trial.reshape(-1, m, r), np.repeat(owners[idx], LADDER)
-        ).reshape(scales.shape)
-        better = values < f[idx, None]
-        moved = better.any(axis=1)
-        step[idx[~moved]] *= ladder[-1] * 0.5
-        rows = np.flatnonzero(moved)
-        pick = better[rows].argmax(axis=1)
-        j = idx[rows]
-        gain = f[j] - values[rows, pick]
-        v[j] = trial[rows, pick]
-        f[j] = values[rows, pick]
-        step[j] = np.minimum(scales[rows, pick] * 2.0, STEP_CAP)
-        stalls[j] = np.where(gain < VALUE_TOL, stalls[j] + 1, 0)
-        done = step[idx] < STEP_TOL
-        done[rows] |= stalls[j] >= 2
-        ended = np.concatenate([live[zero], idx[done]])
-        converged[ended] = True
-        iterations[ended] = it
-        live = idx[~done]
-    return f, v, converged, iterations
+class TestExactGradientDescent:
+    """The descent takes one analytic gradient call per iteration, for the whole stack."""
 
-
-class TestTwoStageLineSearch:
-    @pytest.mark.parametrize("case,second_stages", [("qubit-default", 2), ("d5-budget", 0),
-                                                    ("two-qubits", 13)])
-    def test_matches_full_ladder(self, rng, monkeypatch, case, second_stages):
-        cfg = SolverConfig()
-        if case == "qubit-default":
-            states, channel = [qubit(0.6, 0.2j)], diagonal_pinching(2)
-        elif case == "two-qubits":
-            # Two states' restarts in one stack: the second stage runs for
-            # one state's restarts while the other's moved in the first.
-            states, channel = [qubit(0.6, 0.2j), qubit(0.3, 0.1 + 0.2j)], diagonal_pinching(2)
+    @pytest.mark.parametrize("case", ["two-qubits", "d5-budget"])
+    def test_mixed_owner_stack_matches_per_state_descents(self, rng, case):
+        if case == "two-qubits":
+            states, channel, cfg = ([qubit(0.6, 0.2j), qubit(0.3, 0.1 + 0.2j)],
+                                    diagonal_pinching(2), SolverConfig())
         else:
-            states = [ginibre_density(5, rng)]
+            states = [ginibre_density(5, rng) for _ in range(3)]
             channel = pinching([np.diag([1.0, 1, 0, 0, 0]), np.diag([0.0, 0, 1, 1, 0]),
                                 np.diag([0.0, 0, 0, 0, 1])])
-            cfg = SolverConfig(restarts=4, max_iters=6)
-        n = channel.input_dim
+            cfg = SolverConfig(restarts=4, max_iters=30)
         ev = _Evaluator(states, channel, DEFAULT_TOL)
-        starts = np.stack(_start_isometries(n * n, ev.ranks[0], cfg) * len(states))
+        r = ev.ranks[0]
+        starts = np.stack(_start_isometries(r + 2, r, cfg))
         owners = np.repeat(np.arange(len(states)), cfg.restarts)
+        got = roof._descend(ev, np.concatenate([starts] * len(states)), owners, cfg)
+        for i, rho in enumerate(states):
+            own = slice(i * cfg.restarts, (i + 1) * cfg.restarts)
+            want = roof._descend(_Evaluator([rho], channel, DEFAULT_TOL), starts.copy(),
+                                 alone(cfg.restarts), cfg)
+            # Values and isometries to the bit; converged flags and iteration counts.
+            for a, b in zip(got[:2], want[:2]):
+                assert np.array_equal(bits(a[own]), bits(b))
+            for a, b in zip(got[2:], want[2:]):
+                assert np.array_equal(a[own], b)
+
+    def test_one_gradient_call_per_iteration_and_no_finite_differences(self, rng, monkeypatch):
+        def fail(*args):
+            raise AssertionError("the descent called _fd_gradient")
+
+        monkeypatch.setattr(roof, "_fd_gradient", fail)
+        states = [qubit(0.6, 0.2j), qubit(0.3, 0.1 + 0.2j)]
+        ev = _Evaluator(states, diagonal_pinching(2), DEFAULT_TOL)
+        cfg = SolverConfig(restarts=6, max_iters=40)
         calls = []
-        objective = ev.objective_many
+        gradient = ev.value_and_gradient
 
-        def spy(v, owners):
-            # Count only the calls made outside the gradient, with the
-            # rungs each stage scores (none for the starts) and its states.
-            caller = sys._getframe(1)
-            if caller.f_code is not _fd_gradient.__code__:
-                rungs = caller.f_locals.get("rungs")
-                calls.append((0 if rungs is None else rungs.size, set(owners.tolist())))
-            return objective(v, owners)
+        def spy(a, owners):
+            calls.append(owners.tolist())
+            return gradient(a, owners)
 
-        monkeypatch.setattr(ev, "objective_many", spy)
-        got = roof._descend(ev, starts.copy(), owners, cfg)
-        monkeypatch.undo()
-        want = _descend_reference(_Evaluator(states, channel, DEFAULT_TOL), starts.copy(),
-                                  owners, cfg)
-        # Values and isometries to the bit; converged flags and iteration counts.
-        for a, b in zip(got[:2], want[:2]):
-            assert np.array_equal(bits(a), bits(b))
-        for a, b in zip(got[2:], want[2:]):
-            assert np.array_equal(a, b)
-        # One call for the starts, one per iteration for the first rungs, and
-        # one more in each iteration where some restart needed the rest.
-        assert len(calls) == 1 + int(want[3].max()) + second_stages
-        assert sum(rungs == LADDER - FIRST_RUNGS for rungs, _ in calls) == second_stages
-        if len(states) == 2:
-            # Second stages of either state alone, after first stages of both.
-            partial = {min(late) for (_, early), (rungs, late) in zip(calls, calls[1:])
-                       if rungs == LADDER - FIRST_RUNGS and len(early) == 2 and len(late) == 1}
-            assert partial == {0, 1}
+        monkeypatch.setattr(ev, "value_and_gradient", spy)
+        starts = np.stack(_start_isometries(4, 2, cfg) * 2)
+        owners = np.repeat([0, 1], cfg.restarts)
+        _, _, _, iterations = roof._descend(ev, starts, owners, cfg)
+        # One call per iteration, on the restarts still live, both states'.
+        assert len(calls) == iterations.max()
+        assert calls[0] == owners.tolist()
+        assert [len(c) for c in calls] == [int(np.sum(iterations >= it))
+                                           for it in range(1, len(calls) + 1)]
+        res = solve_R(states[0], diagonal_pinching(2), SolverConfig(restarts=3, max_iters=30))
+        assert res.value_R == pytest.approx(qubit_R(0.2j), abs=1e-9)
 
 
 class TestAffinityCertificate:
