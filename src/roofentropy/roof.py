@@ -23,8 +23,10 @@ scores every rung of each live restart's halving ladder.  The objective
 reads only each member's Kraus outputs, one GEMM per run of one state's
 isometries, and runs a stack of any length in blocks of whole isometries
 within ``GEMM_WORK`` multiply-adds; ``OBJECTIVE_ROWS`` bounds the lockstep
-stacks.  ``_fd_gradient`` is the finite-difference reference the analytic
-gradient is tested against; the solver does not call it.
+stacks.  The evaluator keeps no work arrays: it holds only what its states
+and channel determine, and each call returns new arrays.  ``_fd_gradient``
+is the finite-difference reference the analytic gradient is tested against;
+the solver does not call it.
 """
 
 from __future__ import annotations
@@ -168,7 +170,7 @@ def decomposition_from_isometry(
         raise ValidationError(f"isometry must be a matrix, got shape {v.shape}")
     if not np.isfinite(v).all():
         raise ValidationError("isometry has non-finite entries")
-    m, r = v.shape
+    r = v.shape[1]
     gram = v.conj().T @ v
     defect = float(np.max(np.abs(gram - np.eye(r))))
     if defect > ISOMETRY_TOL:
@@ -176,8 +178,6 @@ def decomposition_from_isometry(
     lam, vecs = _clean_rank(rho, tol)
     if r != lam.size:
         raise ValidationError(f"isometry has {r} columns but the state has rank {lam.size}")
-    if m < r:
-        raise ValidationError(f"need at least rank many rows, got {m} < {r}")
     phis = v @ (vecs * np.sqrt(lam)).T  # row j is the j-th unnormalized vector
     weights = np.einsum("jk,jk->j", phis, phis.conj()).real
     # Each row over its norm; a zero row stays as it is.
@@ -195,28 +195,23 @@ def roof_objective(ensemble: Ensemble, channel: ReductionChannel) -> float:
     return total
 
 
-def _pair_entropy(g00: np.ndarray, g11: np.ndarray, g01: np.ndarray, out=None) -> np.ndarray:
+def _pair_spectrum(g00: np.ndarray, g11: np.ndarray, g01: np.ndarray) -> tuple:
+    """``(mean, radius)`` of each 2x2 Hermitian ``[[g00, g01], [conj(g01), g11]]``.
+
+    Its eigenvalues are ``mean ∓ radius``, with ``radius = hypot((g00 −
+    g11) / 2, |g01|)``.
+    """
+    return 0.5 * (g00 + g11), np.hypot(0.5 * (g00 - g11), np.abs(g01))
+
+
+def _pair_entropy(g00: np.ndarray, g11: np.ndarray, g01: np.ndarray) -> np.ndarray:
     """Sum of -x ln x over the spectra of a stack of 2x2 Hermitian matrices.
 
-    The matrices are ``[[g00, g01], [conj(g01), g11]]``; their eigenvalues
-    are ``mean -/+ hypot((g00 - g11) / 2, |g01|)``, and negative roundoff
-    clips to zero in ``_xlnx``.  ``out`` is a float work array of shape
-    ``(3,) + g00.shape``, new when not given; the result is its first slice.
-    The inputs are left unchanged.
+    The spectra come from ``_pair_spectrum``; negative roundoff clips to
+    zero in ``_xlnx``.
     """
-    if out is None:
-        out = np.empty((3,) + np.shape(g00))
-    radius, mean, work = out
-    np.add(g00, g11, out=mean)
-    np.multiply(0.5, mean, out=mean)
-    np.subtract(g00, g11, out=radius)
-    np.multiply(0.5, radius, out=radius)
-    np.hypot(radius, np.abs(g01, out=work), out=radius)
-    np.subtract(mean, radius, out=work)
-    np.add(mean, radius, out=mean)
-    _xlnx(work, out=work, scratch=radius)
-    _xlnx(mean, out=mean, scratch=radius)
-    return np.add(work, mean, out=radius)
+    mean, radius = _pair_spectrum(g00, g11, g01)
+    return _xlnx(mean - radius) + _xlnx(mean + radius)
 
 
 def _log_support(x: np.ndarray) -> np.ndarray:
@@ -225,14 +220,14 @@ def _log_support(x: np.ndarray) -> np.ndarray:
 
 
 def _pair_log(g00: np.ndarray, g11: np.ndarray, g01: np.ndarray) -> tuple:
-    """``(α, β)`` with ``ln G = αI + βG`` on the support of each 2x2 Gram of ``_pair_entropy``.
+    """``(α, β)`` with ``ln G = αI + βG`` on the support of each 2x2 Gram ``G``.
 
     From the eigenvalues ``low, high = mean ∓ radius``: at full rank
     ``β = ln(high / low) / (high − low)``, or ``1 / low`` where they
     coincide, and ``α = ln low − β·low``; at rank one ``ln G = (ln high /
     high)·G``, and at rank zero both are 0.
     """
-    mean, radius = 0.5 * (g00 + g11), np.hypot(0.5 * (g00 - g11), np.abs(g01))
+    mean, radius = _pair_spectrum(g00, g11, g01)
     low, high = mean - radius, mean + radius
     full = low > 0.0
     low = np.where(full, low, 1.0)
@@ -272,11 +267,8 @@ class _Evaluator:
     matrix ``indicator`` gives every norm block's weight, the member weight
     and the diagonal of every 2x2 Gram.
 
-    Every stage of a call is computed in place in work arrays that the
-    evaluator keeps and reuses across calls, each grown to the largest
-    block it has seen.  The buffers belong to this evaluator, and so to one
-    call of ``_solve_states``: do not share an evaluator across solves or
-    threads.
+    The evaluator holds only what its states and channel determine; every
+    call builds its stages as new arrays and leaves the evaluator as it was.
     """
 
     def __init__(self, states, channel: ReductionChannel, tol: Tolerances):
@@ -306,26 +298,6 @@ class _Evaluator:
         self.indicator = np.zeros((at, len(spans)))
         for j, (s, w) in enumerate(spans):
             self.indicator[s : s + w, j] = 1.0
-        self._buffers: dict[str, np.ndarray] = {}
-        self._views: dict[tuple, np.ndarray] = {}
-
-    def work(self, name: str, shape: tuple, dtype=float) -> np.ndarray:
-        """Work array ``name`` viewed with ``shape``; its contents are stale.
-
-        One flat array per name, replaced by a larger one when a call needs
-        more room, so every view starts at the array's first element.  Each
-        (name, shape) view is built once and kept until its array is
-        replaced, so a block of a size seen before pays no view set-up.
-        """
-        view = self._views.get((name, shape))
-        if view is None:
-            size = math.prod(shape)
-            flat = self._buffers.get(name)
-            if flat is None or flat.size < size:
-                flat = self._buffers[name] = np.empty(size, dtype=dtype)
-                self._views = {key: old for key, old in self._views.items() if key[0] != name}
-            view = self._views[(name, shape)] = flat[:size].reshape(shape)
-        return view
 
     def block_size(self, m: int, r: int) -> int:
         """Most (m, r) isometries whose products stay within ``GEMM_WORK``: one block.
@@ -340,61 +312,50 @@ class _Evaluator:
 
         ``owners[i]`` is the index of the state that isometry ``i`` mixes;
         it never decreases along the stack.  ``_score`` takes the stack in
-        blocks of ``block_size`` whole isometries, so the work arrays hold
-        one block; the returned array is new.
+        blocks of ``block_size`` whole isometries, so no stage holds more
+        than one block.
         """
         batch, m, r = isometries.shape
         per_block = self.block_size(m, r)
         values = np.empty(batch)
         for at in range(0, batch, per_block):
             cut = slice(at, at + per_block)
-            self._score(isometries[cut], owners[cut], values[cut])
+            values[cut] = self._score(isometries[cut], owners[cut])[0]
         return values
 
-    def _score(self, isometries: np.ndarray, owners: np.ndarray, out: np.ndarray) -> tuple:
-        """Objective of one block of isometries into ``out``, shape (size, m, r) -> (size,).
+    def _score(self, isometries: np.ndarray, owners: np.ndarray) -> tuple:
+        """Objective of one block of isometries, shape (size, m, r) -> (size,).
 
         ``a = rows @ mixer`` is one GEMM per run of one state's isometries.
         Rows do not mix, so every isometry gets the same arithmetic whatever
-        its block and its neighbours.  Returns ``(a, sums, g01)``, all in
-        work arrays: the Kraus outputs, shape (size, m, width), ``ν @
-        indicator``, and the 2x2 Grams' off-diagonal entries, shape (size,
-        m, pairs).
+        its block and its neighbours.  Returns ``(values, a, sums, g01)``,
+        all new arrays: the values, the Kraus outputs, shape (size, m,
+        width), ``ν @ indicator``, and the 2x2 Grams' off-diagonal entries,
+        shape (size, m, pairs).
         """
         size, m, r = isometries.shape
-        width, columns = self.indicator.shape
+        width = self.indicator.shape[0]
         rows = isometries.reshape(size * m, r)
-        a = self.work("a", (size * m, width), complex)
+        a = np.empty((size * m, width), complex)
         for lo, hi in _owner_runs(owners):
             np.matmul(rows[lo * m : hi * m], self.mixers[owners[lo]], out=a[lo * m : hi * m])
-        sums = np.matmul(self._abs2("nu", a), self.indicator,
-                         out=self.work("sums", (size * m, columns)))
-        a, sums = a.reshape(size, m, width), sums.reshape(size, m, columns)
+        sums = ((a.real ** 2 + a.imag ** 2) @ self.indicator).reshape(size, m, -1)
+        a = a.reshape(size, m, width)
         blocks, pairs = len(self.norm_segments), len(self.pair_specs)
         # -x ln x of the norm blocks' weights and, last, of the member weight.
-        shape = (size, m, blocks + 1)
-        ent = _xlnx(sums[..., : blocks + 1], out=self.work("norm", shape),
-                    scratch=self.work("ln", shape))
+        ent = _xlnx(sums[..., : blocks + 1])
         total = ent[..., :blocks].sum(axis=(-1, -2))
-        g01 = self.work("g01", (size, m, pairs), complex)
+        g01 = np.empty((size, m, pairs), complex)
         if pairs:
             for i, (s, _, d) in enumerate(self.pair_specs):
-                prod = np.conjugate(a[..., s : s + d], out=self.work("prod", (size, m, d), complex))
-                np.multiply(prod, a[..., s + d : s + 2 * d], out=prod)
-                prod.sum(axis=-1, out=g01[..., i])
-            pair = _pair_entropy(sums[..., blocks + 1 :: 2], sums[..., blocks + 2 :: 2], g01,
-                                 out=self.work("pair", (3, size, m, pairs)))
+                g01[..., i] = (a[..., s : s + d].conj() * a[..., s + d : s + 2 * d]).sum(axis=-1)
+            pair = _pair_entropy(sums[..., blocks + 1 :: 2], sums[..., blocks + 2 :: 2], g01)
             total += pair.sum(axis=(-1, -2))
         for s, t, d in self.gram_specs:
-            shape = (size, m, t, d)
-            b = a[..., s : s + t * d].reshape(shape)
-            conj = np.conjugate(b, out=self.work("conj", shape, complex))
-            gram = np.einsum("...ip,...tp->...it", conj, b,
-                             out=self.work("gram", (size, m, t, t), complex))
-            eigs = np.linalg.eigvalsh(gram)
-            total += _xlnx(eigs, out=eigs).sum(axis=(-1, -2))
-        np.subtract(total, ent[..., blocks].sum(axis=-1), out=out)
-        return a, sums, g01
+            b = a[..., s : s + t * d].reshape(size, m, t, d)
+            gram = np.einsum("...ip,...tp->...it", b.conj(), b)
+            total += _xlnx(np.linalg.eigvalsh(gram)).sum(axis=(-1, -2))
+        return total - ent[..., blocks].sum(axis=-1), a, sums, g01
 
     def value_and_gradient(self, a: np.ndarray, owners: np.ndarray) -> tuple:
         """Objective and chart gradient at points ``a`` = V0 + Z, shape (batch, m, r).
@@ -417,8 +378,7 @@ class _Evaluator:
         arrays are new; ``a`` is left unchanged.
         """
         q = _retract(np.array(a, dtype=complex))
-        values = np.empty(len(q))
-        k, sums, g01 = self._score(q, owners, values)
+        values, k, sums, g01 = self._score(q, owners)
         blocks = len(self.norm_segments)
         # ln X_b K_k φ per Kraus row; the indicator spreads a norm block's log over its rows.
         w = (_log_support(sums[..., :blocks]) @ self.indicator[:, :blocks].T) * k
@@ -444,15 +404,6 @@ class _Evaluator:
         m = q @ (rho - inner) + g
         grads = np.swapaxes(np.linalg.solve(qh @ a, np.swapaxes(m.conj(), -1, -2)).conj(), -1, -2)
         return values, grads, q
-
-    def _abs2(self, name: str, z: np.ndarray) -> np.ndarray:
-        """``z.real**2 + z.imag**2`` in work array ``name``.
-
-        The interleaved float view of ``z`` is squared once; its even and
-        odd lanes are then the real and imaginary squares.
-        """
-        sq = np.square(z.view(float), out=self.work("sq", z.shape[:-1] + (2 * z.shape[-1],)))
-        return np.add(sq[..., 0::2], sq[..., 1::2], out=self.work(name, z.shape))
 
 
 def _qr_failed(err, flag):
@@ -495,31 +446,18 @@ def _fd_gradient(
     the analytic gradient against it, and the benchmark traces it by name.
     The solver does not call it.  ``v`` is a stack of isometries, shape (k,
     m, r), ``owners`` their states (never decreasing) and ``f0`` their
-    values.  The 2·m·r bumped copies of each are scored in blocks of the
-    evaluator's ``block_size``, gathered into its ``fd`` work array.  Only
-    the bumped entry of each copy is added to: a broadcast add would turn
-    its -0.0 entries into +0.0, which flips the sign QR gives a reflector.
+    values.  All 2·m·r bumped copies of each are gathered, retracted and
+    scored in one ``objective_many`` call.  Only the bumped entry of each
+    copy is added to: a broadcast add would turn its -0.0 entries into
+    +0.0, which flips the sign QR gives a reflector.
     """
     k, m, r = v.shape
     count = m * r
-    flat = v.reshape(k, count)
-    span = 2 * count
-    total = span * k
-    block = ev.block_size(m, r)
-    own, col = np.divmod(np.arange(total), span)
-    bump = np.where(col < count, FD_STEP, 1j * FD_STEP)
-    np.remainder(col, count, out=col)
-    copy_owners = owners[own]
-    lanes = np.arange(min(block, total))
-    values = np.empty(total)
-    for at in range(0, total, block):
-        size = min(block, total - at)
-        cut = slice(at, at + size)
-        batch = np.take(flat, own[cut], axis=0, out=ev.work("fd", (size, count), complex),
-                        mode="clip")
-        batch[lanes[:size], col[cut]] += bump[cut]
-        values[cut] = ev.objective_many(_retract(batch.reshape(size, m, r)), copy_owners[cut])
-    g = (values.reshape(k, span) - f0[:, None]) / FD_STEP
+    own, col = np.divmod(np.arange(2 * count * k), 2 * count)
+    copies = v.reshape(k, count)[own]
+    copies[np.arange(own.size), col % count] += np.where(col < count, FD_STEP, 1j * FD_STEP)
+    values = ev.objective_many(_retract(copies.reshape(-1, m, r)), owners[own])
+    g = (values.reshape(k, 2 * count) - f0[:, None]) / FD_STEP
     return (g[:, :count] + 1j * g[:, count:]).reshape(k, m, r)
 
 
