@@ -60,13 +60,15 @@ from .verify import VERIFY_SOLVER, run_verify
 
 __all__ = ["main"]
 
+TOL_FLOOR = 1e-12  # least --tol: below about 1e-14 the package's own rounding fails its checks
+
 
 def _tolerances(tol: float | None) -> Tolerances:
     """The default tolerance, or ``--tol``."""
     if tol is None:
         return DEFAULT_TOL
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValidationError(f"--tol must be finite and positive, got {tol!r}")
+    if not (math.isfinite(tol) and tol >= TOL_FLOOR):
+        raise ValidationError(f"--tol must be finite, positive and at least {TOL_FLOOR:g}, got {tol!r}")
     return Tolerances(tol)
 
 

@@ -8,25 +8,23 @@ multi-start descent along the exact gradient of the objective composed with
 the QR retraction, so iterates stay on the manifold, then finishes each
 state's best restart with a dense BFGS in the chart ``Z ↦ _retract(V0 +
 Z)``, which accepts only decreases, and prunes the members too light to
-resolve.  Both take their gradients from the evaluator's analytic
-value-and-gradient kernel.  The retraction runs LAPACK's QR on stacks the
-solver owns (its line-search candidates and starts), reads only R's
-diagonal and writes Q over its input.  The restarts run in lockstep as one
-stack of isometries; each keeps its own step and stopping rule and leaves
-the stack when it stops.  Solves of several states under one channel (the
-affinity certificate's re-solves, say) share such a stack: every isometry
-carries the index of its state, and each state's restarts follow the path
-they follow when that state is solved alone.
+resolve.  Both use the evaluator's ``_member_gradient``, pulled back
+through the QR chart by ``_pullback``.  The retraction runs LAPACK's QR on
+stacks the solver owns (its line-search candidates and starts), reads only
+R's diagonal and writes Q over its input.  The restarts run in lockstep as
+one stack of isometries; each keeps its own step and stopping rule and
+leaves the stack when it stops.  Solves of several states under one channel
+(the affinity certificate's re-solves, say) share such a stack: every
+isometry carries the index of its state, and each state's restarts follow
+the path they follow when that state is solved alone.
 
 Each descent step takes one gradient call for the whole live stack, then
 scores every rung of each live restart's halving ladder.  The objective
 reads only each member's Kraus outputs, one GEMM per run of one state's
 isometries, and runs a stack of any length in blocks of whole isometries
 within ``GEMM_WORK`` multiply-adds; ``OBJECTIVE_ROWS`` bounds the lockstep
-stacks.  The evaluator keeps no work arrays: it holds only what its states
-and channel determine, and each call returns new arrays.  ``_fd_gradient``
-is the finite-difference reference the analytic gradient is tested against;
-the solver does not call it.
+stacks.  ``_fd_gradient`` is the finite-difference reference the analytic
+gradient is tested against; the solver does not call it.
 """
 
 from __future__ import annotations
@@ -72,7 +70,7 @@ LADDER = 8              # step-halving candidates per line search
 OBJECTIVE_ROWS = 8192
 # Most multiply-adds in one block of objective_many, at n·max(r, width) per
 # isometry row, at least the r·width of its GEMM (_Evaluator.block_size);
-# value_and_gradient scores a descent's live stack as one block.  OpenBLAS
+# _member_gradient scores a descent's live stack as one block.  OpenBLAS
 # hands larger products to its thread pool, and with default threads that
 # hand-off stalled these thin products by milliseconds; qubit stacks stay one
 # block.
@@ -360,25 +358,30 @@ class _Evaluator:
     def value_and_gradient(self, a: np.ndarray, owners: np.ndarray) -> tuple:
         """Objective and chart gradient at points ``a`` = V0 + Z, shape (batch, m, r).
 
-        ``owners`` are the points' states, as in ``objective_many``.  The
-        stack is one ``_score`` block, and the product with ``Mᴴ`` runs per
-        run of one state, so a stack equals its per-state calls bit for bit.
-        Returns ``(values, grads, q)``: the objective of ``q = _retract(a)``,
-        ``objective_many``'s bit for bit as ``_score`` computes both, and its
-        gradient in ``a``, ``∂f/∂Re a + i ∂f/∂Im a``.  With ``X_b(φ) =
-        Σ_{k∈b} K_k φφ† K_k†`` and weight ``p = Σ_k ‖K_k φ‖²``, member ``φ``
-        has the gradient ``2·Σ_b Σ_{k∈b} K_k†(ln p − ln X_b)K_k φ``, logs
-        taken on the support.  With ``B`` the block's columns ``K_k φ``, ``ln X_b B =
-        B ln(BᴴB)``: norm blocks take the log of their scalar norm, two-term
-        blocks their 2x2 Gram's log in closed form and larger Gram blocks
-        batched ``eigh``.  With ``w`` the rows ``ln X_b K_k φ``, the gradient
-        in ``q`` is ``G = 2·(ln p·q·M − w)·Mᴴ``, pulled back through the QR
-        retraction's adjoint, ``[q·ρ†(qᴴG) + (I − qqᴴ)G]·R⁻ᴴ`` with ``R =
-        qᴴa`` and ``ρ†(B) = tril(B, −1) − tril(Bᴴ, −1) + i·Im diag B``.  The
-        arrays are new; ``a`` is left unchanged.
+        ``owners`` as in ``objective_many``.  Returns new arrays: the values at
+        ``q = _retract(a)``, the gradient ``∂f/∂Re a + i ∂f/∂Im a``, and ``q``.
         """
         q = _retract(np.array(a, dtype=complex))
-        values, k, sums, g01 = self._score(q, owners)
+        values, g = self._member_gradient(q, owners)
+        return values, _pullback(q, a, g), q
+
+    def _member_gradient(self, rows: np.ndarray, owners: np.ndarray) -> tuple:
+        """Objective and its gradient in the rows, shape (batch, m, r), any m ≥ 1.
+
+        ``owners`` as in ``objective_many``; nothing is retracted.  The stack
+        is one ``_score`` block and the product with ``Mᴴ`` runs per run of
+        one state, so a stack equals its per-state calls bit for bit.  Returns
+        new arrays ``(values, g)``: ``objective_many``'s values bit for bit
+        and ``g = ∂f/∂Re V + i ∂f/∂Im V``.  With ``X_b(φ) = Σ_{k∈b} K_k φφ†
+        K_k†`` and weight ``p = Σ_k ‖K_k φ‖²``, member ``φ`` has the gradient
+        ``2·Σ_b Σ_{k∈b} K_k†(ln p − ln X_b)K_k φ``, logs taken on the
+        support.  With ``B`` the block's columns ``K_k φ``, ``ln X_b B = B
+        ln(BᴴB)``: norm blocks take the log of their scalar norm, two-term
+        blocks their 2x2 Gram's log in closed form and larger Gram blocks
+        batched ``eigh``.  With ``w`` the rows ``ln X_b K_k φ``, ``g = 2·(ln
+        p·V·M − w)·Mᴴ``.
+        """
+        values, k, sums, g01 = self._score(rows, owners)
         blocks = len(self.norm_segments)
         # ln X_b K_k φ per Kraus row; the indicator spreads a norm block's log over its rows.
         w = (_log_support(sums[..., :blocks]) @ self.indicator[:, :blocks].T) * k
@@ -395,15 +398,8 @@ class _Evaluator:
             log = (vecs * _log_support(lam)[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
             w[..., s : s + t * d] = (np.swapaxes(log, -1, -2) @ b).reshape(k.shape[:-1] + (t * d,))
         u = 2.0 * (_log_support(sums[..., blocks, None]) * k - w)
-        g = np.concatenate([u[lo:hi] @ self.mixers[owners[lo]].conj().T
-                            for lo, hi in _owner_runs(owners)])
-        qh = np.swapaxes(q.conj(), -1, -2)
-        inner = qh @ g
-        rho = np.tril(inner - np.swapaxes(inner.conj(), -1, -2), -1)
-        rho += 1j * np.eye(inner.shape[-1]) * inner.imag
-        m = q @ (rho - inner) + g
-        grads = np.swapaxes(np.linalg.solve(qh @ a, np.swapaxes(m.conj(), -1, -2)).conj(), -1, -2)
-        return values, grads, q
+        return values, np.concatenate([u[lo:hi] @ self.mixers[owners[lo]].conj().T
+                                       for lo, hi in _owner_runs(owners)])
 
 
 def _qr_failed(err, flag):
@@ -435,6 +431,20 @@ def _retract(a: np.ndarray) -> np.ndarray:
         _qr_reduced(a, tau, signature=f"{kind}{kind}->{kind}", out=a)
     a *= phase[..., None, :]
     return a
+
+
+def _pullback(q: np.ndarray, a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The gradient ``g`` in ``q = _retract(a)``, taken back to ``a`` by the QR adjoint.
+
+    ``[q·ρ†(qᴴg) + (I − qqᴴ)g]·R⁻ᴴ`` with ``R = qᴴa`` and ``ρ†(B) = tril(B,
+    −1) − tril(Bᴴ, −1) + i·Im diag B``, along the last two axes; a new array.
+    """
+    qh = np.swapaxes(q.conj(), -1, -2)
+    inner = qh @ g
+    rho = np.tril(inner - np.swapaxes(inner.conj(), -1, -2), -1)
+    rho += 1j * np.eye(inner.shape[-1]) * inner.imag
+    m = q @ (rho - inner) + g
+    return np.swapaxes(np.linalg.solve(qh @ a, np.swapaxes(m.conj(), -1, -2)).conj(), -1, -2)
 
 
 def _fd_gradient(

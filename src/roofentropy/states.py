@@ -51,7 +51,9 @@ class Tolerances:
         The largest allowed Hermiticity defect (max entry of
         ``|M - M^dag|``), deviation of a trace, weight sum or vector norm
         from one, and negative eigenvalue: eigenvalues in ``[-value, 0]``
-        are clipped to zero, anything below is an error.
+        are clipped to zero, anything below is an error.  Below about 1e-14
+        it is under the package's own rounding: ``solve_R`` under
+        ``Tolerances(0.0)`` rejects a state vector norm of 0.9999999999999999.
     support : float
         ``value / 10``, the spectral cutoff defining the support of the
         second argument in ``relative_entropy`` and the weight at or below

@@ -15,9 +15,11 @@ from roofentropy import (
     benatti_bracket,
     channel_to_json,
     diagonal_pinching,
+    encode_matrix,
     run_verify,
 )
 from roofentropy.cli import main
+from roofentropy.sampling import ginibre_density
 from roofentropy.verify import VERIFY_SOLVER
 
 LN2 = 0.6931471805599453
@@ -283,6 +285,18 @@ class TestRoofCommand:
         _, first, _ = run_main(capsys, *argv)
         _, second, _ = run_main(capsys, *argv)
         assert first == second
+
+    def test_tol_floor(self, capsys):
+        # Below 1e-12 a tolerance is near the package's own rounding, and the
+        # checks would fail on numbers the command computed itself.
+        state = json.dumps(encode_matrix(ginibre_density(4, np.random.default_rng(3)).matrix))
+        argv = ["roof", "--state", state, "--channel", '{"type":"diagonal","dim":4}',
+                "--restarts", "2", "--max-iters", "20", "--samples", "2", "--tol"]
+        status, out, err = run_main(capsys, *argv, "1e-13")
+        assert (status, out) == (1, "")
+        assert "--tol must be finite, positive and at least 1e-12" in err
+        report = run_json(capsys, *argv, "1e-12")
+        assert 0.0 <= report["result"]["value_R"] <= report["result"]["reduced_entropy"]
 
     def test_trace_file(self, capsys, tmp_path):
         path = tmp_path / "trace.jsonl"

@@ -1,6 +1,9 @@
 """The package's public surface: one declaration per name, every name resolves."""
 
 import importlib
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -55,6 +58,18 @@ def test_top_level_is_the_modules_all():
     for name in MODULES:
         declared += importlib.import_module(f"roofentropy.{name}").__all__
     assert sorted(declared) == sorted(roofentropy.__all__)
+
+
+def test_import_pulls_in_no_scipy():
+    # The package depends on numpy alone, and importing scipy would cost
+    # several times what importing the package does; tests may use it.
+    src = os.path.dirname(os.path.dirname(roofentropy.__file__))
+    probe = ("import sys, roofentropy, roofentropy.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_every_name_resolves():

@@ -38,6 +38,7 @@ from roofentropy.roof import (
     _finish,
     _pair_entropy,
     _pair_log,
+    _pullback,
     _retract,
     _start_isometries,
 )
@@ -381,6 +382,54 @@ class TestValueAndGradient:
                 want = solo.value_and_gradient(a[lo:hi], alone(hi - lo))
                 for x, y in zip(got, want):
                     assert np.array_equal(bits(x[lo:hi]), bits(y)), name
+
+
+def forward_differences(f, x):
+    """``∂f/∂Re x + i ∂f/∂Im x`` of a real function of a complex array, by forward differences.
+
+    Each bumped copy adds to its bumped entry alone, so the -0.0 entries of
+    ``x`` keep their sign.
+    """
+    f0 = f(x)
+    grad = np.zeros(x.shape, complex)
+    for idx in np.ndindex(x.shape):
+        for unit in (1.0, 1j):
+            bumped = x.copy()
+            bumped[idx] += unit * FD_STEP
+            grad[idx] += unit * (f(bumped) - f0) / FD_STEP
+    return grad
+
+
+class TestMemberGradient:
+    """The row kernel alone, on stacks of any row count, and the QR chart's adjoint alone."""
+
+    def test_rows_of_any_count_match_forward_differences(self, rng):
+        # One-row stacks are what pricing scores; r + 2 rows are the
+        # descent's.  Nothing is retracted: the rows are the points.
+        for name, states, channel in two_state_cases(rng):
+            ev = _Evaluator(states, channel, DEFAULT_TOL)
+            r = ev.ranks[0]
+            for m in (1, r + 2):
+                shape = (len(OWNERS), m, r)
+                rows = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+                rows /= np.linalg.norm(rows, axis=(-2, -1), keepdims=True)
+                keep = rows.copy()
+                values, g = ev._member_gradient(rows, OWNERS)
+                assert np.array_equal(rows, keep), name
+                assert np.array_equal(values, ev.objective_many(rows, OWNERS)), name
+                fd = forward_differences(lambda x: ev.objective_many(x, OWNERS).sum(), rows)
+                assert np.max(np.abs(g - fd)) <= 1e-6, (name, m)
+
+    def test_pullback_matches_forward_differences(self, rng):
+        # At A = V0 + Z off the manifold and at A = V0, the adjoint takes a
+        # fixed G in Q = _retract(A) to the gradient of Re Tr(Gᴴ·_retract(A)).
+        for shape in ((4, 5, 3), (2, 3, 3), (2, 4, 1)):
+            v0 = _retract(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+            g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            for a in (v0 + 0.1 * (rng.normal(size=shape) + 1j * rng.normal(size=shape)), v0):
+                got = _pullback(_retract(a.copy()), a, g)
+                fd = forward_differences(lambda x: np.vdot(g, _retract(x.copy())).real, a)
+                assert np.max(np.abs(got - fd)) <= 1e-6, shape
 
 
 class TestFinish:
