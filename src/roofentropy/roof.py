@@ -9,22 +9,22 @@ the QR retraction, so iterates stay on the manifold, then finishes each
 state's best restart with a dense BFGS in the chart ``Z ↦ _retract(V0 +
 Z)``, which accepts only decreases, and prunes the members too light to
 resolve.  Both use the evaluator's ``_member_gradient``, pulled back
-through the QR chart by ``_pullback``.  The retraction runs LAPACK's QR on
-stacks the solver owns (its line-search candidates and starts), reads only
-R's diagonal and writes Q over its input.  The restarts run in lockstep as
-one stack of isometries; each keeps its own step and stopping rule and
-leaves the stack when it stops.  Solves of several states under one channel
-(the affinity certificate's re-solves, say) share such a stack: every
-isometry carries the index of its state, and each state's restarts follow
-the path they follow when that state is solved alone.
+through the QR chart by ``_pullback``; the retraction and the pullback call
+LAPACK's QR and LU gufuncs on the solver's own stacks.  The restarts run in
+lockstep as one stack of isometries; each keeps its own step and stopping
+rule and leaves the stack when it stops.  Solves of several states under
+one channel (the affinity certificate's re-solves, say) share such a stack:
+every isometry carries the index of its state, and each state's restarts
+follow the path they follow when that state is solved alone.
 
 Each descent step takes one gradient call for the whole live stack, then
 scores every rung of each live restart's halving ladder.  The objective
 reads only each member's Kraus outputs, one GEMM per run of one state's
 isometries, and runs a stack of any length in blocks of whole isometries
 within ``GEMM_WORK`` multiply-adds; ``OBJECTIVE_ROWS`` bounds the lockstep
-stacks.  ``_fd_gradient`` is the finite-difference reference the analytic
-gradient is tested against; the solver does not call it.
+stacks.  The evaluator builds once what its states and channel fix, and
+the results' decompositions come from its roots.  The solver never calls
+``_fd_gradient``, the finite differences the analytic gradient is tested by.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ import json
 import math
 
 import numpy as np
-# The gufuncs behind np.linalg.qr (numpy >= 2.0), called on the solver's own stacks.
-from numpy.linalg._umath_linalg import qr_r_raw as _qr_r_raw, qr_reduced as _qr_reduced
+# The gufuncs and error handlers behind np.linalg.qr and np.linalg.solve (numpy >= 2.0).
+from numpy.linalg import _linalg, _umath_linalg
 
 from .channels import ReductionChannel, block_entropy, reduce_state
 from .ensembles import Ensemble, convex_sum, pure_ensemble, shorten
@@ -90,6 +90,7 @@ BACKTRACKS = 30     # most step halvings per line search of the finish
 AFFINITY_TOL = 1e-4        # most discrepancy an affinity sample may show
 ZERO_ENTROPY_H = 1e-6      # value_H at or below which H counts as zero
 ZERO_STRUCTURE_TOL = 1e-6  # most residual a block-aligned support vector may show
+_STRICT_LOWER = {}  # _pullback's strictly-lower r x r masks, by r, made on first use
 
 
 @dataclasses.dataclass(frozen=True)
@@ -168,15 +169,20 @@ def decomposition_from_isometry(
         raise ValidationError(f"isometry must be a matrix, got shape {v.shape}")
     if not np.isfinite(v).all():
         raise ValidationError("isometry has non-finite entries")
+    lam, vecs = _clean_rank(rho, tol)
+    return _decomposition(v, (vecs * np.sqrt(lam)).T, tol)
+
+
+def _decomposition(v: np.ndarray, root: np.ndarray, tol: Tolerances) -> Ensemble:
+    """``decomposition_from_isometry`` from a state's root, as in ``_Evaluator.roots``."""
     r = v.shape[1]
     gram = v.conj().T @ v
     defect = float(np.max(np.abs(gram - np.eye(r))))
     if defect > ISOMETRY_TOL:
         raise ValidationError(f"columns are not orthonormal: defect {defect:.3e}")
-    lam, vecs = _clean_rank(rho, tol)
-    if r != lam.size:
-        raise ValidationError(f"isometry has {r} columns but the state has rank {lam.size}")
-    phis = v @ (vecs * np.sqrt(lam)).T  # row j is the j-th unnormalized vector
+    if r != root.shape[0]:
+        raise ValidationError(f"isometry has {r} columns but the state has rank {root.shape[0]}")
+    phis = v @ root  # row j is the j-th unnormalized vector
     weights = np.einsum("jk,jk->j", phis, phis.conj()).real
     # Each row over its norm; a zero row stays as it is.
     units = np.divide(phis, np.sqrt(weights)[:, None], out=phis, where=weights[:, None] > 0.0)
@@ -265,8 +271,8 @@ class _Evaluator:
     matrix ``indicator`` gives every norm block's weight, the member weight
     and the diagonal of every 2x2 Gram.
 
-    The evaluator holds only what its states and channel determine; every
-    call builds its stages as new arrays and leaves the evaluator as it was.
+    The evaluator holds only what its states and channel determine, each
+    ``Mᴴ`` included; every call builds its stages as new arrays and leaves it as it was.
     """
 
     def __init__(self, states, channel: ReductionChannel, tol: Tolerances):
@@ -296,6 +302,8 @@ class _Evaluator:
         self.indicator = np.zeros((at, len(spans)))
         for j, (s, w) in enumerate(spans):
             self.indicator[s : s + w, j] = 1.0
+        self.adjoints = [mixer.conj().T for mixer in self.mixers]
+        self.spread = self.indicator[:, : len(self.norm_segments)].T  # norm blocks' columns
 
     def block_size(self, m: int, r: int) -> int:
         """Most (m, r) isometries whose products stay within ``GEMM_WORK``: one block.
@@ -326,10 +334,11 @@ class _Evaluator:
 
         ``a = rows @ mixer`` is one GEMM per run of one state's isometries.
         Rows do not mix, so every isometry gets the same arithmetic whatever
-        its block and its neighbours.  Returns ``(values, a, sums, g01)``,
-        all new arrays: the values, the Kraus outputs, shape (size, m,
-        width), ``ν @ indicator``, and the 2x2 Grams' off-diagonal entries,
-        shape (size, m, pairs).
+        its block and its neighbours.  Returns ``(values, a, sums, g01,
+        logs)``, all new arrays: the values, the Kraus outputs, shape (size,
+        m, width), ``ν @ indicator``, the 2x2 Grams' off-diagonal entries,
+        shape (size, m, pairs), and ln on the support of the first ``blocks
+        + 1`` columns ``x`` of the sums; ``−max(x, 0)·logs`` is ``_xlnx(x)``.
         """
         size, m, r = isometries.shape
         width = self.indicator.shape[0]
@@ -340,8 +349,10 @@ class _Evaluator:
         sums = ((a.real ** 2 + a.imag ** 2) @ self.indicator).reshape(size, m, -1)
         a = a.reshape(size, m, width)
         blocks, pairs = len(self.norm_segments), len(self.pair_specs)
-        # -x ln x of the norm blocks' weights and, last, of the member weight.
-        ent = _xlnx(sums[..., : blocks + 1])
+        # ln, then -x ln x, of the norm blocks' weights and, last, of the member weight.
+        weights = np.maximum(sums[..., : blocks + 1], 0.0)
+        logs = _log_support(weights)
+        ent = -weights * logs
         total = ent[..., :blocks].sum(axis=(-1, -2))
         g01 = np.empty((size, m, pairs), complex)
         if pairs:
@@ -353,7 +364,7 @@ class _Evaluator:
             b = a[..., s : s + t * d].reshape(size, m, t, d)
             gram = np.einsum("...ip,...tp->...it", b.conj(), b)
             total += _xlnx(np.linalg.eigvalsh(gram)).sum(axis=(-1, -2))
-        return total - ent[..., blocks].sum(axis=-1), a, sums, g01
+        return total - ent[..., blocks].sum(axis=-1), a, sums, g01, logs
 
     def value_and_gradient(self, a: np.ndarray, owners: np.ndarray) -> tuple:
         """Objective and chart gradient at points ``a`` = V0 + Z, shape (batch, m, r).
@@ -369,24 +380,25 @@ class _Evaluator:
         """Objective and its gradient in the rows, shape (batch, m, r), any m ≥ 1.
 
         ``owners`` as in ``objective_many``; nothing is retracted.  The stack
-        is one ``_score`` block and the product with ``Mᴴ`` runs per run of
-        one state, so a stack equals its per-state calls bit for bit.  Returns
-        new arrays ``(values, g)``: ``objective_many``'s values bit for bit
-        and ``g = ∂f/∂Re V + i ∂f/∂Im V``.  With ``X_b(φ) = Σ_{k∈b} K_k φφ†
-        K_k†`` and weight ``p = Σ_k ‖K_k φ‖²``, member ``φ`` has the gradient
-        ``2·Σ_b Σ_{k∈b} K_k†(ln p − ln X_b)K_k φ``, logs taken on the
-        support.  With ``B`` the block's columns ``K_k φ``, ``ln X_b B = B
-        ln(BᴴB)``: norm blocks take the log of their scalar norm, two-term
-        blocks their 2x2 Gram's log in closed form and larger Gram blocks
-        batched ``eigh``.  With ``w`` the rows ``ln X_b K_k φ``, ``g = 2·(ln
-        p·V·M − w)·Mᴴ``.
+        is one ``_score`` block, whose logs it reuses, and the product with
+        ``Mᴴ`` runs per run of one state, so a stack equals its per-state
+        calls bit for bit.  Returns new arrays ``(values, g)``: the values
+        of ``objective_many`` bit for bit and ``g = ∂f/∂Re V + i ∂f/∂Im
+        V``.  With ``X_b(φ) = Σ_{k∈b} K_k φφ† K_k†`` and weight ``p = Σ_k
+        ‖K_k φ‖²``, member ``φ`` has the gradient ``2·Σ_b Σ_{k∈b} K_k†(ln p
+        − ln X_b)K_k φ``, logs taken on the support.  With ``B`` the block's
+        columns ``K_k φ``, ``ln X_b B = B ln(BᴴB)``: norm blocks take the log
+        of their scalar norm, two-term blocks their 2x2 Gram's log in closed
+        form and larger Gram blocks batched ``eigh``.  With ``w`` the rows
+        ``ln X_b K_k φ``, ``g = 2·(ln p·V·M − w)·Mᴴ``.
         """
-        values, k, sums, g01 = self._score(rows, owners)
+        values, k, sums, g01, logs = self._score(rows, owners)
         blocks = len(self.norm_segments)
-        # ln X_b K_k φ per Kraus row; the indicator spreads a norm block's log over its rows.
-        w = (_log_support(sums[..., :blocks]) @ self.indicator[:, :blocks].T) * k
-        g00, g11 = sums[..., blocks + 1 :: 2], sums[..., blocks + 2 :: 2]
-        alpha, beta = _pair_log(g00, g11, g01)
+        # ln X_b K_k φ per Kraus row; a norm block's log spreads over its rows.
+        w = (logs[..., :blocks] @ self.spread) * k
+        if self.pair_specs:
+            g00, g11 = sums[..., blocks + 1 :: 2], sums[..., blocks + 2 :: 2]
+            alpha, beta = _pair_log(g00, g11, g01)
         for i, (s, _, d) in enumerate(self.pair_specs):
             b0, b1 = k[..., s : s + d], k[..., s + d : s + 2 * d]
             c00, c11, c01, ca, cb = (x[..., i, None] for x in (g00, g11, g01, alpha, beta))
@@ -397,14 +409,9 @@ class _Evaluator:
             lam, vecs = np.linalg.eigh(b.conj() @ np.swapaxes(b, -1, -2))
             log = (vecs * _log_support(lam)[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
             w[..., s : s + t * d] = (np.swapaxes(log, -1, -2) @ b).reshape(k.shape[:-1] + (t * d,))
-        u = 2.0 * (_log_support(sums[..., blocks, None]) * k - w)
-        return values, np.concatenate([u[lo:hi] @ self.mixers[owners[lo]].conj().T
-                                       for lo, hi in _owner_runs(owners)])
-
-
-def _qr_failed(err, flag):
-    """``np.errstate`` handler: LAPACK flagged an argument of a QR gufunc."""
-    raise np.linalg.LinAlgError("Incorrect argument found while performing QR factorization")
+        u = 2.0 * (logs[..., blocks, None] * k - w)
+        runs = [u[lo:hi] @ self.adjoints[owners[lo]] for lo, hi in _owner_runs(owners)]
+        return values, runs[0] if len(runs) == 1 else np.concatenate(runs)
 
 
 def _retract(a: np.ndarray) -> np.ndarray:
@@ -417,18 +424,19 @@ def _retract(a: np.ndarray) -> np.ndarray:
     diagonal (R's; R itself is never built) sets the phases; the second then
     writes Q over it, and ``a`` is returned.  Any input that is not a
     C-contiguous writeable float64 or complex128 array is copied first, and
-    the copy is returned.  A failed factorization raises ``LinAlgError``.
+    the copy is returned.  A failed factorization raises ``LinAlgError``, as
+    in ``np.linalg.qr``, whose handler it uses.
     """
     kind = "D" if np.iscomplexobj(a) else "d"
     if not (a.dtype == kind and a.flags.c_contiguous and a.flags.writeable):
         a = a.astype(kind)
-    with np.errstate(call=_qr_failed, invalid="call", over="ignore", divide="ignore",
-                     under="ignore"):
-        tau = _qr_r_raw(a, signature=f"{kind}->{kind}")
+    with np.errstate(call=_linalg._raise_linalgerror_qr, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        tau = _umath_linalg.qr_r_raw(a, signature=f"{kind}->{kind}")
         d = np.diagonal(a, axis1=-2, axis2=-1)
         mag = np.abs(d)
-        phase = np.where(mag > 0.0, d / np.where(mag > 0.0, mag, 1.0), 1.0)
-        _qr_reduced(a, tau, signature=f"{kind}{kind}->{kind}", out=a)
+        phase = np.divide(d, mag, out=np.ones_like(d), where=mag > 0.0)
+        _umath_linalg.qr_reduced(a, tau, signature=f"{kind}{kind}->{kind}", out=a)
     a *= phase[..., None, :]
     return a
 
@@ -438,13 +446,20 @@ def _pullback(q: np.ndarray, a: np.ndarray, g: np.ndarray) -> np.ndarray:
 
     ``[q·ρ†(qᴴg) + (I − qqᴴ)g]·R⁻ᴴ`` with ``R = qᴴa`` and ``ρ†(B) = tril(B,
     −1) − tril(Bᴴ, −1) + i·Im diag B``, along the last two axes; a new array.
+    The ``tril`` mask is made once per r.  R is solved against as in
+    ``np.linalg.solve``, whose gufunc and handler raise ``LinAlgError`` at a singular R.
     """
+    if (r := q.shape[-1]) not in _STRICT_LOWER:
+        _STRICT_LOWER[r] = np.tri(r, k=-1, dtype=bool)
     qh = np.swapaxes(q.conj(), -1, -2)
     inner = qh @ g
-    rho = np.tril(inner - np.swapaxes(inner.conj(), -1, -2), -1)
-    rho += 1j * np.eye(inner.shape[-1]) * inner.imag
+    rho = np.where(_STRICT_LOWER[r], inner - np.swapaxes(inner.conj(), -1, -2), 0.0)
+    np.einsum("...ii->...i", rho).imag += np.einsum("...ii->...i", inner).imag
     m = q @ (rho - inner) + g
-    return np.swapaxes(np.linalg.solve(qh @ a, np.swapaxes(m.conj(), -1, -2)).conj(), -1, -2)
+    with np.errstate(call=_linalg._raise_linalgerror_singular, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        x = _umath_linalg.solve(qh @ a, np.swapaxes(m.conj(), -1, -2), signature="DD->D")
+    return np.swapaxes(x.conj(), -1, -2)
 
 
 def _fd_gradient(
@@ -548,12 +563,13 @@ def _finish(ev: _Evaluator, state: int, v0: np.ndarray, f0: float, cfg: SolverCo
     value.
     """
     m, r = v0.shape
+    owner = np.full(1, state)
 
     def chart(x):
         return v0 + (x[: m * r] + 1j * x[m * r :]).reshape(m, r)
 
     def evaluate(x):
-        values, grads, q = ev.value_and_gradient(chart(x)[None], np.full(1, state))
+        values, grads, q = ev.value_and_gradient(chart(x)[None], owner)
         return values[0], np.concatenate([grads[0].real.ravel(), grads[0].imag.ravel()]), q[0]
 
     x = np.zeros(2 * m * r)
@@ -594,7 +610,7 @@ def _finish(ev: _Evaluator, state: int, v0: np.ndarray, f0: float, cfg: SolverCo
         pruned = v.copy()
         pruned[small] = 0.0
         pruned = _retract(pruned)
-        f_pruned = ev.objective_many(pruned[None], np.full(1, state))[0]
+        f_pruned = ev.objective_many(pruned[None], owner)[0]
         if f_pruned <= min(f + FINISH_TOL, f0):
             f, v = float(f_pruned), pruned
     return f, v
@@ -693,7 +709,7 @@ def _solve_states(states, channel: ReductionChannel, config: SolverConfig | None
                 )
         best = min(range(cfg.restarts), key=values.__getitem__)
         value, isometry = _finish(ev, i, isometries[best], values[best], cfg, tol)
-        ensemble = shorten(decomposition_from_isometry(rho, isometry, tol))
+        ensemble = shorten(_decomposition(isometry, ev.roots[i], tol))
         reduced = block_entropy(reduce_state(channel, rho, tol), tol)
         results.append(RoofResult(
             value_R=value,

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from roofentropy.roof import (
     _Evaluator,
     _fd_gradient,
     _finish,
+    _log_support,
     _pair_entropy,
     _pair_log,
     _pullback,
@@ -332,7 +334,7 @@ class TestKrausOutputs:
         _, _, defect = (channel for _, channel in edge_channels(rng))
         ev = _Evaluator([ginibre_density(3, rng)], defect, DEFAULT_TOL)
         v = _retract(rng.normal(size=(5, 9, 3)) + 1j * rng.normal(size=(5, 9, 3)))
-        _, _, sums, _ = ev._score(v, alone(5))
+        _, _, sums, _, _ = ev._score(v, alone(5))
         weights = sums[..., len(ev.norm_segments)]
         norms = np.sum(np.abs(v @ ev.roots[0]) ** 2, axis=-1)
         assert np.max(np.abs(weights / norms - 1.0 - DEFECT)) <= 1e-13
@@ -431,6 +433,21 @@ class TestMemberGradient:
                 fd = forward_differences(lambda x: np.vdot(g, _retract(x.copy())).real, a)
                 assert np.max(np.abs(got - fd)) <= 1e-6, shape
 
+    def test_singular_r_raises_without_a_warning(self, rng):
+        # A zero column makes R = qᴴa singular.  The solve raises LinAlgError
+        # as np.linalg.solve does; a bare LU call gives NaN and a RuntimeWarning.
+        ev = _Evaluator([qubit(0.6, 0.2j)], diagonal_pinching(2), DEFAULT_TOL)
+        a = rng.normal(size=(1, 4, 2)) + 1j * rng.normal(size=(1, 4, 2))
+        a[..., 1] = 0.0
+        g = rng.normal(size=a.shape) + 1j * rng.normal(size=a.shape)
+        for call in (lambda: ev.value_and_gradient(a, alone(1)),
+                     lambda: _pullback(_retract(a.copy()), a, g)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+                    call()
+            assert not caught
+
 
 class TestFinish:
     def test_finish_never_raises_a_value(self, rng):
@@ -514,6 +531,16 @@ class TestSolveR:
         res = solve_R(plus, diagonal_pinching(2), FAST)
         assert res.value_H <= 1e-8
         assert res.value_R == pytest.approx(LN2, abs=1e-8)
+
+    def test_one_eigendecomposition_per_state(self, rng, monkeypatch):
+        # Each result's decomposition comes from the evaluator's root, so a
+        # solve diagonalizes each of its states once.
+        calls = []
+        eigh = roof.canonical_eigh
+        monkeypatch.setattr(roof, "canonical_eigh", lambda *args: calls.append(1) or eigh(*args))
+        states = [ginibre_density(3, rng) for _ in range(2)]
+        roof._solve_states(states, diagonal_pinching(3), SolverConfig(restarts=2, max_iters=5))
+        assert len(calls) == len(states)
 
     def test_optimal_ensemble_feasible(self, rng):
         g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
@@ -883,6 +910,27 @@ class TestWorkBuffers:
             expected = bits(_xlnx_reference(x))
             assert np.array_equal(bits(_xlnx(x)), expected)
             assert np.array_equal(bits(x), bits(keep))
+            # _score's form: -max(x, 0) times the log taken on the support.
+            clipped = np.maximum(x, 0.0)
+            assert np.array_equal(bits(-clipped * _log_support(clipped)), expected)
+
+    def test_score_takes_one_log_bit_for_bit(self, rng):
+        # _score's values equal the _xlnx form and the logs it hands the
+        # gradient equal _log_support of the sums, bit for bit.  The
+        # eigen-ensemble of a diagonal state leaves some block weights 0.
+        channel = pinching([np.diag([1.0, 1, 0, 0, 0]), np.diag([0.0, 0, 1, 1, 0]),
+                            np.diag([0.0, 0, 0, 0, 1])])
+        for rho in (ginibre_density(5, rng), DensityOperator(np.diag(rng.dirichlet(np.ones(5))))):
+            ev = _Evaluator([rho], channel, DEFAULT_TOL)
+            blocks = len(ev.norm_segments)
+            shape = (6, 7, 5)
+            v = _retract(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+            v[0] = np.eye(7, 5)
+            values, _, sums, _, logs = ev._score(v, alone(len(v)))
+            ent = _xlnx(sums[..., : blocks + 1])
+            want = ent[..., :blocks].sum(axis=(-1, -2)) - ent[..., blocks].sum(axis=-1)
+            assert np.array_equal(bits(values), bits(want))
+            assert np.array_equal(bits(logs), bits(_log_support(sums[..., : blocks + 1])))
 
     @pytest.mark.parametrize("length", [25, 60])
     def test_fd_gradient_matches_reference(self, rng, length):
