@@ -6,16 +6,16 @@ applied to the square-root-scaled eigenvectors of the state; by default
 ``m = min(r + 2, n²)``.  The solver searches that isometry manifold with
 multi-start descent along the exact gradient of the objective composed with
 the QR retraction, so iterates stay on the manifold, then finishes each
-state's best restart with a dense BFGS in the chart ``Z ↦ _retract(V0 +
-Z)``, which accepts only decreases, and prunes the members too light to
-resolve.  Both use the evaluator's ``_member_gradient``, pulled back
-through the QR chart by ``_pullback``; the retraction and the pullback call
-LAPACK's QR and LU gufuncs on the solver's own stacks.  The restarts run in
-lockstep as one stack of isometries; each keeps its own step and stopping
-rule and leaves the stack when it stops.  Solves of several states under
-one channel (the affinity certificate's re-solves, say) share such a stack:
-every isometry carries the index of its state, and each state's restarts
-follow the path they follow when that state is solved alone.
+state's best restart with a dense BFGS, which accepts only decreases, and
+prunes the members too light to resolve.  Both take the evaluator's
+``_member_gradient`` at an isometry V and pull it back by ``_pullback`` to
+the chart ``Z ↦ _retract(V + Z)``; ``_retract`` calls LAPACK's QR gufuncs on
+the solver's own stacks.  The restarts run in lockstep as one stack of
+isometries; each keeps its own step and stopping rule and leaves the stack
+when it stops.  Solves of several states under one channel (the affinity
+certificate's re-solves, say) share such a stack: every isometry carries the
+index of its state, and each state's restarts follow the path they follow
+when that state is solved alone.
 
 Each descent step takes one gradient call for the whole live stack, then
 scores every rung of each live restart's halving ladder.  The objective
@@ -34,7 +34,7 @@ import json
 import math
 
 import numpy as np
-# The gufuncs and error handlers behind np.linalg.qr and np.linalg.solve (numpy >= 2.0).
+# The gufuncs and error handler behind np.linalg.qr (numpy >= 2.0).
 from numpy.linalg import _linalg, _umath_linalg
 
 from .channels import ReductionChannel, block_entropy, reduce_state
@@ -90,7 +90,6 @@ BACKTRACKS = 30     # most step halvings per line search of the finish
 AFFINITY_TOL = 1e-4        # most discrepancy an affinity sample may show
 ZERO_ENTROPY_H = 1e-6      # value_H at or below which H counts as zero
 ZERO_STRUCTURE_TOL = 1e-6  # most residual a block-aligned support vector may show
-_STRICT_LOWER = {}  # _pullback's strictly-lower r x r masks, by r, made on first use
 
 
 @dataclasses.dataclass(frozen=True)
@@ -366,16 +365,6 @@ class _Evaluator:
             total += _xlnx(np.linalg.eigvalsh(gram)).sum(axis=(-1, -2))
         return total - ent[..., blocks].sum(axis=-1), a, sums, g01, logs
 
-    def value_and_gradient(self, a: np.ndarray, owners: np.ndarray) -> tuple:
-        """Objective and chart gradient at points ``a`` = V0 + Z, shape (batch, m, r).
-
-        ``owners`` as in ``objective_many``.  Returns new arrays: the values at
-        ``q = _retract(a)``, the gradient ``∂f/∂Re a + i ∂f/∂Im a``, and ``q``.
-        """
-        q = _retract(np.array(a, dtype=complex))
-        values, g = self._member_gradient(q, owners)
-        return values, _pullback(q, a, g), q
-
     def _member_gradient(self, rows: np.ndarray, owners: np.ndarray) -> tuple:
         """Objective and its gradient in the rows, shape (batch, m, r), any m ≥ 1.
 
@@ -441,25 +430,18 @@ def _retract(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _pullback(q: np.ndarray, a: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """The gradient ``g`` in ``q = _retract(a)``, taken back to ``a`` by the QR adjoint.
+def _pullback(q: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The gradient ``g`` at isometries ``q``, taken to the chart ``Z ↦ _retract(q + Z)`` at 0.
 
-    ``[q·ρ†(qᴴg) + (I − qqᴴ)g]·R⁻ᴴ`` with ``R = qᴴa`` and ``ρ†(B) = tril(B,
-    −1) − tril(Bᴴ, −1) + i·Im diag B``, along the last two axes; a new array.
-    The ``tril`` mask is made once per r.  R is solved against as in
-    ``np.linalg.solve``, whose gufunc and handler raise ``LinAlgError`` at a singular R.
+    The QR adjoint at R = I: ``q·ρ†(qᴴg) + (I − qqᴴ)g`` with ``ρ†(B) =
+    tril(B, −1) − tril(Bᴴ, −1) + i·Im diag B``, along the last two axes; a
+    new array.
     """
-    if (r := q.shape[-1]) not in _STRICT_LOWER:
-        _STRICT_LOWER[r] = np.tri(r, k=-1, dtype=bool)
-    qh = np.swapaxes(q.conj(), -1, -2)
-    inner = qh @ g
-    rho = np.where(_STRICT_LOWER[r], inner - np.swapaxes(inner.conj(), -1, -2), 0.0)
+    inner = np.swapaxes(q.conj(), -1, -2) @ g
+    lower = np.tri(q.shape[-1], k=-1, dtype=bool)
+    rho = np.where(lower, inner - np.swapaxes(inner.conj(), -1, -2), 0.0)
     np.einsum("...ii->...i", rho).imag += np.einsum("...ii->...i", inner).imag
-    m = q @ (rho - inner) + g
-    with np.errstate(call=_linalg._raise_linalgerror_singular, invalid="call", over="ignore",
-                     divide="ignore", under="ignore"):
-        x = _umath_linalg.solve(qh @ a, np.swapaxes(m.conj(), -1, -2), signature="DD->D")
-    return np.swapaxes(x.conj(), -1, -2)
+    return q @ (rho - inner) + g
 
 
 def _fd_gradient(
@@ -467,9 +449,9 @@ def _fd_gradient(
 ) -> np.ndarray:
     """Forward-difference gradients of the retracted objective, as complex matrices.
 
-    The finite-difference reference for ``value_and_gradient``: tests check
-    the analytic gradient against it, and the benchmark traces it by name.
-    The solver does not call it.  ``v`` is a stack of isometries, shape (k,
+    The finite-difference reference for ``_pullback`` of ``_member_gradient``:
+    tests check the analytic gradient against it, and the benchmark traces
+    it by name.  The solver does not call it.  ``v`` is a stack of isometries, shape (k,
     m, r), ``owners`` their states (never decreasing) and ``f0`` their
     values.  All 2·m·r bumped copies of each are gathered, retracted and
     scored in one ``objective_many`` call.  Only the bumped entry of each
@@ -492,13 +474,13 @@ def _descend(ev: _Evaluator, starts: np.ndarray, owners: np.ndarray, cfg: Solver
     ``owners[i]`` is the evaluator's index of the state start ``i`` mixes,
     never decreasing along the stack, so the restarts of several states
     under one channel descend together.  Each restart keeps its own step,
-    stall count and stopping rule, and leaves the stack when it stops.
-    Each iteration takes the exact gradients of the live restarts from one
-    ``value_and_gradient`` call with their owners, and the line search
-    scores every rung of each one's halving ladder and moves it to the first
-    that improves.  Every array operation acts slice by slice, so a
-    restart's path does not depend on the others, whether they belong to its
-    state or another.  ``starts`` is consumed: the first retraction
+    stall count and stopping rule, and leaves the stack when it stops.  Each
+    iteration takes the exact gradients of the live restarts, pulled back
+    from one ``_member_gradient`` call with their owners, and the line
+    search scores every rung of each one's halving ladder and moves it to
+    the first that improves.  Every array operation acts slice by slice, so
+    a restart's path does not depend on the others, whether they belong to
+    its state or another.  ``starts`` is consumed: the first retraction
     overwrites it.  Returns the per-restart values, isometries, converged
     flags and iteration counts.
     """
@@ -514,7 +496,8 @@ def _descend(ev: _Evaluator, starts: np.ndarray, owners: np.ndarray, cfg: Solver
     for it in range(1, cfg.max_iters + 1):
         if live.size == 0:
             break
-        grad = ev.value_and_gradient(v[live], owners[live])[1]
+        here = v[live]
+        grad = _pullback(here, ev._member_gradient(here, owners[live])[1])
         zero = np.linalg.norm(grad.reshape(len(grad), -1), axis=1) < ZERO_GRADIENT
         idx = live[~zero]
         scales = step[idx, None] * ladder
@@ -546,54 +529,54 @@ def _finish(ev: _Evaluator, state: int, v0: np.ndarray, f0: float, cfg: SolverCo
             tol: Tolerances) -> tuple:
     """Dense BFGS from the descent's best isometry ``v0``, then pruning; ``(value, isometry)``.
 
-    Works in the chart ``Z ↦ _retract(v0 + Z)`` on the 2·m·r real
-    parameters of ``Z``, with ``value_and_gradient``'s analytic gradient.
-    The inverse Hessian starts as the identity, scaled after the first step,
-    and restarts from it when its direction does not descend.  The line
-    search halves from the unit step until a value is below the current one
-    by ``ARMIJO`` of the predicted decrease, and only such decreases are
-    accepted.  The finish stops after ``cfg.max_iters`` steps, when a step
-    gains less than ``FINISH_TOL``, when no step decreases, or at a zero
-    gradient.  Rows whose member weight is below the state's ``tol.value``
-    (the cutoff ``_clean_rank`` puts on eigenvalues) are then zeroed and the
-    isometry retracted again, if that raises the value by at most
-    ``FINISH_TOL``: a member that light is below what the finish resolves.
-    Each outcome, valued bit for bit as by ``objective_many``, replaces
-    ``(f0, v0)`` only if its value is not higher: the finish never raises a
-    value.
+    ``v0`` must be an isometry, as ``solve_R`` passes.  At each iterate V
+    the gradient is taken in the chart ``Z ↦ _retract(V + Z)`` on the 2·m·r
+    real parameters of ``Z``, and a step ``Z`` goes to ``_retract(V + Z)``.
+    The inverse Hessian carries over from chart to chart; it starts as the
+    identity, scaled after the first step, and restarts from it when its
+    direction does not descend.  The line search halves from the unit step
+    until a value is below the current one by ``ARMIJO`` of the predicted
+    decrease, and only such decreases are accepted.  The finish stops after
+    ``cfg.max_iters`` steps, when a step gains less than ``FINISH_TOL``,
+    when no step decreases, or at a zero gradient.  Rows whose member weight
+    is below the state's ``tol.value`` (the cutoff ``_clean_rank`` puts on
+    eigenvalues) are then zeroed and the isometry retracted again, if that
+    raises the value by at most ``FINISH_TOL``: a member that light is below
+    what the finish resolves.  Each outcome, valued bit for bit as by
+    ``objective_many``, replaces ``(f0, v0)`` only if its value is not
+    higher: the finish never raises a value.
     """
     m, r = v0.shape
     owner = np.full(1, state)
 
-    def chart(x):
-        return v0 + (x[: m * r] + 1j * x[m * r :]).reshape(m, r)
+    def evaluate(v):
+        values, g = ev._member_gradient(v[None], owner)
+        g = _pullback(v[None], g)[0]
+        return values[0], np.concatenate([g.real.ravel(), g.imag.ravel()])
 
-    def evaluate(x):
-        values, grads, q = ev.value_and_gradient(chart(x)[None], owner)
-        return values[0], np.concatenate([grads[0].real.ravel(), grads[0].imag.ravel()]), q[0]
-
-    x = np.zeros(2 * m * r)
-    f, g, q = evaluate(x)
-    inverse = np.eye(x.size)
+    v = v0
+    f, g = evaluate(v)
+    inverse = np.eye(g.size)
     for it in range(cfg.max_iters):
         if np.linalg.norm(g) < ZERO_GRADIENT:
             break
         direction = -inverse @ g
         slope = g @ direction
         if slope >= 0.0:
-            inverse = np.eye(x.size)
+            inverse = np.eye(g.size)
             direction, slope = -g, -(g @ g)
         t = 1.0
         for _ in range(BACKTRACKS):
-            f_new, g_new, q_new = evaluate(x + t * direction)
+            s = t * direction
+            trial = _retract(v + (s[: m * r] + 1j * s[m * r :]).reshape(m, r))
+            f_new, g_new = evaluate(trial)
             if f_new < f and f_new <= f + ARMIJO * t * slope:
                 break
             t *= 0.5
         else:
             break
-        s, y, gain = t * direction, g_new - g, f - f_new
-        x += s
-        f, g, q = f_new, g_new, q_new
+        y, gain = g_new - g, f - f_new
+        v, f, g = trial, f_new, g_new
         if gain < FINISH_TOL:
             break
         sy = s @ y
@@ -603,7 +586,7 @@ def _finish(ev: _Evaluator, state: int, v0: np.ndarray, f0: float, cfg: SolverCo
             hy = inverse @ y
             inverse += ((sy + y @ hy) / sy**2) * np.outer(s, s) - (
                 np.outer(hy, s) + np.outer(s, hy)) / sy
-    f, v = (float(f), q) if f <= f0 else (f0, v0)
+    f, v = (float(f), v) if f <= f0 else (f0, v0)
     weights = np.sum(np.abs(v @ ev.roots[state]) ** 2, axis=1)
     small = (weights > 0.0) & (weights < tol.value)
     if small.any() and np.count_nonzero(weights >= tol.value) >= r:
